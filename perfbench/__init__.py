@@ -1,0 +1,5 @@
+"""Repository benchmark: seeded workloads, end-to-end metrics and a traced per-layer run.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+from the repository root; ``BENCHMARK.json`` lists the workloads and metrics.
+"""
