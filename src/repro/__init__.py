@@ -27,7 +27,6 @@ _LAZY_EXPORTS = {
     "EnsembleSimulator": "repro.engine.ensemble_engine",
     "Population": "repro.engine.population",
     "RandomSource": "repro.engine.rng",
-    "TrialRunner": "repro.engine.runner",
     "DynamicSizeCounting": "repro.core.dynamic_counting",
     "SimplifiedDynamicSizeCounting": "repro.core.simplified",
     "UniformPhaseClock": "repro.core.phase_clock",

@@ -98,9 +98,6 @@ from repro.engine.registry import (
 from repro.engine.rng import RandomSource, SeedTree, make_rng, spawn_streams
 from repro.engine.runner import (
     AggregatedSeries,
-    EnsembleSpec,
-    TrialOutcome,
-    TrialRunner,
     aggregate_series,
     run_engine_trials,
 )
@@ -144,7 +141,6 @@ __all__ = [
     "EngineError",
     "EnsembleRunResult",
     "EnsembleSimulator",
-    "EnsembleSpec",
     "EstimateRecorder",
     "EventRecorder",
     "ExecutionOptions",
@@ -177,8 +173,6 @@ __all__ = [
     "SizeAdversary",
     "SnapshotStats",
     "StreamingEstimateRecorder",
-    "TrialOutcome",
-    "TrialRunner",
     "TrialShard",
     "UnknownAgentError",
     "VectorizedProtocol",

@@ -1,19 +1,21 @@
-"""A single frozen bundle for the execution knobs shared by every runner.
+"""A single frozen bundle for the execution knobs of the scenario layer.
 
 The same eight keyword arguments — effort/preset, engine, workers, jit and
 the four checkpoint fields — had accreted independently on
 :func:`repro.scenarios.runner.run_scenario`,
-:func:`repro.scenarios.runner.run_sweep`,
-:func:`repro.engine.runner.run_engine_trials`, the CLI and
+:func:`repro.scenarios.runner.run_sweep`, the CLI and
 :class:`repro.serve.service.SimulationService`.  :class:`ExecutionOptions`
 is the one canonical place they are declared, validated and stamped into
 ``metadata["execution"]``.
 
-Every entry point keeps accepting the legacy keyword arguments (they build
-an ``ExecutionOptions`` internally via :meth:`ExecutionOptions.merge`);
-passing *both* an options object and a conflicting legacy keyword raises a
+``run_scenario`` and ``run_sweep`` keep accepting the legacy keyword
+arguments (they build an ``ExecutionOptions`` internally via
+:meth:`ExecutionOptions.merge`); passing *both* an options object and a
+conflicting legacy keyword raises a
 :class:`~repro.engine.errors.ConfigurationError` instead of silently
-preferring one.
+preferring one.  The layer below,
+:func:`repro.engine.runner.run_engine_trials`, takes the workers and
+checkpoint knobs as plain keywords only.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ class ExecutionOptions:
     ----------
     effort:
         Preset effort level (``"quick"`` / ``"default"`` / ``"paper"``).
-        Ignored by layers that take no presets (``run_engine_trials``) and
-        whenever an explicit ``preset`` is given.
+        Ignored whenever an explicit ``preset`` is given.
     preset:
         An explicit :class:`~repro.experiments.base.ExperimentPreset`,
         overriding the effort lookup.  Scenario layer only.

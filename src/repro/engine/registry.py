@@ -677,7 +677,7 @@ def make_engine(
         Number of stacked trials for the ensemble engine (defaults to 1);
         rejected for every engine without ``supports_trials`` — they run
         one trial per instance and are looped by
-        :class:`repro.engine.runner.TrialRunner`.
+        :func:`repro.engine.runner.run_engine_trials`.
     jit:
         Upgrade the vectorised kernels to the compiled backend of
         :mod:`repro.kernels` (best effort: when numba is unavailable or

@@ -48,9 +48,9 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
 def spawn_streams(seed: int | None, count: int) -> list[np.random.Generator]:
     """Spawn ``count`` statistically independent generators from one seed.
 
-    Used by the multi-run :class:`repro.engine.runner.TrialRunner` so that
-    every independent trial behind a data point uses its own stream, exactly
-    as the paper seeds each of its 96 runs independently.
+    Used by the multi-run experiments so that every independent trial
+    behind a data point uses its own stream, exactly as the paper seeds
+    each of its 96 runs independently.
 
     This is the flat special case of :class:`SeedTree`:
     ``spawn_streams(seed, count)[t]`` is bit-identical to

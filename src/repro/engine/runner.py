@@ -1,50 +1,48 @@
 """Multi-trial orchestration.
 
 Every data point in the paper's evaluation aggregates 96 independent
-simulation runs.  The :class:`TrialRunner` reproduces this pattern: it fans a
-root seed out into independent per-trial random streams, builds a fresh
-simulator per trial via a user-supplied factory, runs them, and aggregates
-the recorded series (element-wise min / median / max across trials).
+simulation runs.  :func:`run_engine_trials` is the one executor for that
+pattern: it fans a root seed out into independent per-trial random
+streams, builds a fresh engine per trial (or one stacked ensemble engine
+for many trials) through a caller-supplied factory, runs them, and returns
+the per-trial snapshot series; :func:`aggregate_series` reduces those
+element-wise to the min / median / max the paper plots.
 
 Trials are independent by construction — every trial's random stream is
 derived from its *address* in a :class:`repro.engine.rng.SeedTree`
 (``root seed -> trial index``), not from its position in an execution
-schedule — so the runner can execute them synchronously in-process (the
-default — the experiment presets are sized so that a full figure
-regenerates in minutes on a laptop) or shard them across a process pool
-via the opt-in ``workers`` parameter (see :mod:`repro.engine.parallel`).
-All modes produce bit-identical outcomes for the same root seed.
+schedule — so the trials can run synchronously in-process (the default —
+the experiment presets are sized so that a full figure regenerates in
+minutes on a laptop) or shard across a process pool via the opt-in
+``workers`` parameter (see :mod:`repro.engine.parallel`).  Any two worker
+counts produce bit-identical outcomes for the same root seed, and for the
+looped engines so does the serial default.
 
-For workloads that fit the struct-of-arrays engines there is a stacked
-mode: pass an :class:`EnsembleSpec` and the runner executes trials as
-``(trials, n)`` stacked state on the :class:`repro.engine.ensemble_engine.
-EnsembleSimulator` — no per-trial Python loop at all — while still
-returning the same ``list[TrialOutcome]`` shape as the looped modes.
-Combined with ``workers``, the stack is split into row-shards (layout
-independent of the worker count, each shard's stream derived from the
-seed tree) and the shards run across the pool.
+The ``"ensemble"`` engine executes trials as ``(trials, n)`` stacked
+state — no per-trial Python loop at all.  Combined with ``workers`` (or
+checkpointing), the stack is split into row-shards (layout independent of
+the worker count, each shard's stream derived from the seed tree) and the
+shards run across the pool.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.api import RunResult, matrix_quantiles
+from repro.engine.api import matrix_quantiles
 from repro.engine.checkpoint import (
     CheckpointInterrupted,
     read_checkpoint,
     write_checkpoint,
 )
 from repro.engine.errors import CheckpointError, ConfigurationError
-from repro.engine.options import ExecutionOptions
 from repro.engine.parallel import (
     ShardTiming,
     execute_shards,
@@ -52,33 +50,14 @@ from repro.engine.parallel import (
     plan_shards,
     resolve_workers,
 )
-from repro.engine.rng import RandomSource, SeedTree, spawn_streams
-from repro.engine.simulator import SimulationResult
+from repro.engine.rng import RandomSource, SeedTree
 
 __all__ = [
-    "TrialOutcome",
     "AggregatedSeries",
-    "EnsembleSpec",
     "SHARD_NAMESPACE",
-    "TrialRunner",
     "aggregate_series",
     "run_engine_trials",
 ]
-
-
-@dataclass
-class TrialOutcome:
-    """Result of a single trial: the simulation summary plus extracted data.
-
-    ``result`` is the engine's run summary — a
-    :class:`repro.engine.simulator.SimulationResult` for looped trials, a
-    per-trial :class:`repro.engine.api.RunResult` for ensemble trials.
-    """
-
-    trial: int
-    seed_stream: int
-    result: RunResult
-    data: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -145,37 +124,6 @@ def aggregate_series(
 SHARD_NAMESPACE = "shard"
 
 
-def _run_looped_engine_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
-    """Run one row-shard of looped-engine trials; module-level for pickling.
-
-    Each trial in the shard gets the stream at its own tree address
-    (``tree.trial(t)``) — bit-identical to the serial per-trial loop no
-    matter how trials are grouped into shards.
-    """
-    tree: SeedTree = payload["tree"]
-    all_series = []
-    for trial in range(payload["start"], payload["stop"]):
-        simulator = payload["factory"](payload["engine"], tree.trial(trial).source(), None)
-        result = simulator.run(
-            payload["parallel_time"], snapshot_every=payload["snapshot_every"]
-        )
-        all_series.append(result.series())
-    return all_series
-
-
-def _run_ensemble_engine_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
-    """Run one row-shard of an ensemble workload as its own stacked engine."""
-    tree: SeedTree = payload["tree"]
-    rng = tree.child(SHARD_NAMESPACE, payload["start"]).source()
-    simulator = payload["factory"](
-        "ensemble", rng, payload["stop"] - payload["start"]
-    )
-    result = simulator.run(
-        payload["parallel_time"], snapshot_every=payload["snapshot_every"]
-    )
-    return [trial_result.series() for trial_result in result.trial_results]
-
-
 # --------------------------------------------------------------- checkpoints
 #
 # Long-horizon runs segment each shard's engine at multiples of
@@ -222,44 +170,51 @@ def _shard_workload(payload: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _load_shard_checkpoint(
-    path: Path, expected_workload: Mapping[str, Any]
-) -> dict[str, Any] | None:
-    """Read one shard checkpoint; ``None`` when absent (fresh start).
+def _resume_shard_state(payload: Mapping[str, Any]) -> dict[str, Any] | None:
+    """The shard checkpoint to continue from; ``None`` means a fresh start.
 
-    A present-but-corrupt file and a workload mismatch both raise
+    A shard resumes only when the payload names a ``resume_from``
+    directory holding its checkpoint.  A present-but-corrupt file and a
+    workload mismatch both raise
     :class:`~repro.engine.errors.CheckpointError` — a resume must never
     silently fall back to recomputing (masking data loss) or continue a
     different run's state.
     """
+    resume_from = payload.get("resume_from")
+    if resume_from is None:
+        return None
+    path = _shard_checkpoint_path(resume_from, payload["start"], payload["stop"])
     if not path.exists():
         return None
+    expected = _shard_workload(payload)
     state = read_checkpoint(path, kind="shard")
-    if state.get("workload") != dict(expected_workload):
+    if state.get("workload") != expected:
         raise CheckpointError(
             f"shard checkpoint {path.name} was taken for a different workload "
-            f"({state.get('workload')!r} != {dict(expected_workload)!r})"
+            f"({state.get('workload')!r} != {expected!r})"
         )
     return state
 
 
 def _write_shard_checkpoint(
-    path: Path,
-    state: dict[str, Any],
-    *,
-    writes: int,
-    interrupt_after: int | None,
+    payload: Mapping[str, Any], state: dict[str, Any], *, writes: int
 ) -> int:
     """Persist one shard checkpoint; returns the updated write count.
 
-    ``interrupt_after`` is the deterministic fault-injection knob: after
-    the N-th *completed* write this raises
+    The payload's ``interrupt_after`` is the deterministic fault-injection
+    knob: after the N-th *completed* write this raises
     :class:`~repro.engine.checkpoint.CheckpointInterrupted`, so tests and
     CI can kill a run at an exactly reproducible point and resume from a
     checkpoint that is guaranteed to be on disk.
     """
-    write_checkpoint(path, state, kind="shard")
+    path = _shard_checkpoint_path(
+        payload["checkpoint_dir"], payload["start"], payload["stop"]
+    )
+    write_checkpoint(
+        path, {"workload": _shard_workload(payload), **state}, kind="shard"
+    )
     writes += 1
+    interrupt_after = payload.get("interrupt_after")
     if interrupt_after is not None and writes >= interrupt_after:
         raise CheckpointInterrupted(
             f"injected interruption after checkpoint write {writes} ({path.name})"
@@ -276,8 +231,6 @@ def _concat_series(
     only its own snapshots, so concatenation reproduces exactly the series
     of one uninterrupted run over the whole horizon.
     """
-    if not segments:
-        return {}
     return {
         key: [value for segment in segments for value in segment[key]]
         for key in segments[0]
@@ -287,44 +240,43 @@ def _concat_series(
 def _run_looped_engine_shard_checkpointed(
     payload: dict[str, Any],
 ) -> list[dict[str, list[float]]]:
-    """Checkpointed variant of :func:`_run_looped_engine_shard`.
+    """Run one row-shard of looped-engine trials; module-level for pickling.
 
-    Trials run in order; the engine of the in-flight trial is segmented at
-    multiples of ``checkpoint_every`` parallel time.  A checkpoint is
-    written at every mid-trial segment boundary, and at the first trial
-    boundary once at least ``checkpoint_every`` parallel time has accrued
-    since the last write — so when trials are shorter than the cadence,
-    write frequency still follows the cadence instead of the trial count.
-    The final ``done`` checkpoint is always written.  Streams are still
-    addressed ``tree.trial(t)`` and the restored RNG state overwrites
-    whatever the factory drew, so an interrupted-and-resumed shard is
-    bit-identical to an uninterrupted one.
+    Each trial in the shard gets the stream at its own tree address
+    (``tree.trial(t)``) — bit-identical to a serial per-trial loop no
+    matter how trials are grouped into shards.  With
+    ``checkpoint_every=None`` every trial runs as one segment to the
+    horizon and nothing touches disk.
+
+    Otherwise the engine of the in-flight trial is segmented at multiples
+    of ``checkpoint_every`` parallel time.  A checkpoint is written at
+    every mid-trial segment boundary, and at the first trial boundary once
+    at least ``checkpoint_every`` parallel time has accrued since the last
+    write — so when trials are shorter than the cadence, write frequency
+    still follows the cadence instead of the trial count.  The final
+    ``done`` checkpoint is always written.  The restored RNG state
+    overwrites whatever the factory drew, so an interrupted-and-resumed
+    shard is bit-identical to an uninterrupted one.
     """
     tree: SeedTree = payload["tree"]
     start, stop = payload["start"], payload["stop"]
     parallel_time = payload["parallel_time"]
     snapshot_every = payload["snapshot_every"]
-    checkpoint_every = payload["checkpoint_every"]
-    interrupt_after = payload.get("interrupt_after")
-    workload = _shard_workload(payload)
-    path = _shard_checkpoint_path(payload["checkpoint_dir"], start, stop)
+    checkpoint_every = payload.get("checkpoint_every")
+    segment_time = checkpoint_every or parallel_time
 
     completed: list[dict[str, list[float]]] = []
     trial = start
     engine_payload: dict[str, Any] | None = None
     segments: list[dict[str, list[float]]] = []
-    resume_from = payload.get("resume_from")
-    if resume_from is not None:
-        state = _load_shard_checkpoint(
-            _shard_checkpoint_path(resume_from, start, stop), workload
-        )
-        if state is not None:
-            if state["done"]:
-                return state["completed"]
-            completed = state["completed"]
-            trial = state["trial"]
-            engine_payload = state["engine_payload"]
-            segments = state["segments"]
+    state = _resume_shard_state(payload)
+    if state is not None:
+        if state["done"]:
+            return state["completed"]
+        completed = state["completed"]
+        trial = state["trial"]
+        engine_payload = state["engine_payload"]
+        segments = state["segments"]
 
     writes = 0
     since_last_write = 0
@@ -336,15 +288,14 @@ def _run_looped_engine_shard_checkpointed(
         else:
             segments = []
         while simulator.parallel_time < parallel_time:
-            step = min(checkpoint_every, parallel_time - simulator.parallel_time)
+            step = min(segment_time, parallel_time - simulator.parallel_time)
             result = simulator.run(step, snapshot_every=snapshot_every)
             segments.append(result.series())
             since_last_write += step
-            if simulator.parallel_time < parallel_time:
+            if checkpoint_every is not None and simulator.parallel_time < parallel_time:
                 writes = _write_shard_checkpoint(
-                    path,
+                    payload,
                     {
-                        "workload": workload,
                         "completed": completed,
                         "trial": trial,
                         # copy=False: the payload is pickled by the write
@@ -354,17 +305,17 @@ def _run_looped_engine_shard_checkpointed(
                         "done": False,
                     },
                     writes=writes,
-                    interrupt_after=interrupt_after,
                 )
                 since_last_write = 0
         completed.append(_concat_series(segments))
         segments = []
         trial += 1
-        if trial >= stop or since_last_write >= checkpoint_every:
+        if checkpoint_every is not None and (
+            trial >= stop or since_last_write >= checkpoint_every
+        ):
             writes = _write_shard_checkpoint(
-                path,
+                payload,
                 {
-                    "workload": workload,
                     "completed": completed,
                     "trial": trial,
                     "engine_payload": None,
@@ -372,7 +323,6 @@ def _run_looped_engine_shard_checkpointed(
                     "done": trial >= stop,
                 },
                 writes=writes,
-                interrupt_after=interrupt_after,
             )
             since_last_write = 0
     return completed
@@ -381,59 +331,52 @@ def _run_looped_engine_shard_checkpointed(
 def _run_ensemble_engine_shard_checkpointed(
     payload: dict[str, Any],
 ) -> list[dict[str, list[float]]]:
-    """Checkpointed variant of :func:`_run_ensemble_engine_shard`.
+    """Run one row-shard of an ensemble workload as its own stacked engine.
 
-    The whole shard is one stacked engine, so the checkpoint carries the
-    stack's engine payload plus the per-segment lists of per-trial series;
-    the per-trial view is stitched only once the horizon is reached.
+    The stack's stream is addressed ``tree.child(SHARD_NAMESPACE, start)``.
+    With ``checkpoint_every=None`` the stack runs as one segment to the
+    horizon and nothing touches disk; otherwise it is segmented at
+    multiples of ``checkpoint_every`` and every segment boundary writes
+    the stack's engine payload plus the per-segment lists of per-trial
+    series.  The per-trial view is stitched only once the horizon is
+    reached.
     """
     tree: SeedTree = payload["tree"]
     start, stop = payload["start"], payload["stop"]
     parallel_time = payload["parallel_time"]
     snapshot_every = payload["snapshot_every"]
-    checkpoint_every = payload["checkpoint_every"]
-    interrupt_after = payload.get("interrupt_after")
-    workload = _shard_workload(payload)
-    path = _shard_checkpoint_path(payload["checkpoint_dir"], start, stop)
+    checkpoint_every = payload.get("checkpoint_every")
+    segment_time = checkpoint_every or parallel_time
 
     segments: list[list[dict[str, list[float]]]] = []
-    engine_payload: dict[str, Any] | None = None
-    resume_from = payload.get("resume_from")
-    if resume_from is not None:
-        state = _load_shard_checkpoint(
-            _shard_checkpoint_path(resume_from, start, stop), workload
-        )
-        if state is not None:
-            segments = state["segments"]
-            engine_payload = state["engine_payload"]
-            if state["done"]:
-                return [
-                    _concat_series([segment[i] for segment in segments])
-                    for i in range(stop - start)
-                ]
-
-    rng = tree.child(SHARD_NAMESPACE, start).source()
-    simulator = payload["factory"]("ensemble", rng, stop - start)
-    if engine_payload is not None:
-        simulator.apply_checkpoint_payload(engine_payload)
-    writes = 0
-    while simulator.parallel_time < parallel_time:
-        step = min(checkpoint_every, parallel_time - simulator.parallel_time)
-        result = simulator.run(step, snapshot_every=snapshot_every)
-        segments.append([tr.series() for tr in result.trial_results])
-        done = simulator.parallel_time >= parallel_time
-        writes = _write_shard_checkpoint(
-            path,
-            {
-                "workload": workload,
-                # copy=False: pickled by the write below, before the next segment.
-                "engine_payload": None if done else simulator.checkpoint_payload(copy=False),
-                "segments": segments,
-                "done": done,
-            },
-            writes=writes,
-            interrupt_after=interrupt_after,
-        )
+    state = _resume_shard_state(payload)
+    if state is not None:
+        segments = state["segments"]
+    if state is None or not state["done"]:
+        rng = tree.child(SHARD_NAMESPACE, start).source()
+        simulator = payload["factory"]("ensemble", rng, stop - start)
+        if state is not None and state["engine_payload"] is not None:
+            simulator.apply_checkpoint_payload(state["engine_payload"])
+        writes = 0
+        while simulator.parallel_time < parallel_time:
+            step = min(segment_time, parallel_time - simulator.parallel_time)
+            result = simulator.run(step, snapshot_every=snapshot_every)
+            segments.append([tr.series() for tr in result.trial_results])
+            if checkpoint_every is not None:
+                done = simulator.parallel_time >= parallel_time
+                writes = _write_shard_checkpoint(
+                    payload,
+                    {
+                        # copy=False: pickled by the write below, before
+                        # the next segment.
+                        "engine_payload": None
+                        if done
+                        else simulator.checkpoint_payload(copy=False),
+                        "segments": segments,
+                        "done": done,
+                    },
+                    writes=writes,
+                )
     return [
         _concat_series([segment[i] for segment in segments])
         for i in range(stop - start)
@@ -488,6 +431,27 @@ def _prepare_checkpoint_run(
             raise
 
 
+def manifest_cadence(directory: str | Path, depth: int = 0) -> int | None:
+    """The checkpoint cadence recorded by the run manifests under ``directory``.
+
+    ``depth`` is how many directory levels sit between ``directory`` and
+    the manifests: ``0`` for a :func:`run_engine_trials` checkpoint
+    directory, ``1`` for a scenario's per-point subdirectories, ``2`` for a
+    sweep's per-combination, per-point ones.  Every run of one invocation
+    shares the cadence, so the first manifest pins it; this is what lets
+    ``resume_from`` alone continue a run.  Returns ``None`` when no
+    manifest exists yet; an unreadable one raises
+    :class:`~repro.engine.errors.CheckpointError`.
+    """
+    pattern = "*/" * depth + CHECKPOINT_MANIFEST
+    for path in sorted(Path(directory).glob(pattern)):
+        try:
+            return int(json.loads(path.read_text())["checkpoint_every"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"unreadable checkpoint manifest {path}: {exc}") from exc
+    return None
+
+
 def run_engine_trials(
     engine_factory: Callable[[str, RandomSource, int | None], Any],
     *,
@@ -496,7 +460,6 @@ def run_engine_trials(
     seed: int | None,
     parallel_time: int,
     snapshot_every: int = 1,
-    options: "ExecutionOptions | None" = None,
     workers: int | str | None = None,
     timing_sink: list[ShardTiming] | None = None,
     checkpoint_every: int | None = None,
@@ -508,30 +471,32 @@ def run_engine_trials(
 
     This is the one place that knows how a multi-trial workload maps onto an
     engine: the looped engines get one freshly built engine per trial, each
-    with its own random stream derived from the root ``seed`` (identical to
-    what :class:`TrialRunner` does), while the ``"ensemble"`` engine stacks
-    trials into struct-of-arrays passes.
+    with its own random stream at the trial's seed-tree address under the
+    root ``seed``, while the ``"ensemble"`` engine stacks trials into
+    struct-of-arrays passes.
 
     ``engine_factory(engine_name, rng, trials)`` builds the engine; it
     receives ``trials`` only in ensemble mode (``None`` otherwise, where the
     engine runs exactly one trial).  Each returned entry is one trial's
     snapshot series (:meth:`repro.engine.api.RunResult.series` columns), in
     trial order — the same shape regardless of the execution mode.
+    ``trials`` and ``parallel_time`` must both be at least 1.
 
     ``workers`` selects the sharded execution path of
-    :mod:`repro.engine.parallel`: ``None`` (default) keeps the historical
-    serial behaviour, ``1`` runs the sharded path serially in-process, and
-    higher counts (or ``"auto"``) fan the shards over a process pool —
-    ``engine_factory`` must then be picklable (a module-level function or
-    :func:`functools.partial` over one).  The shard layout is independent
-    of the worker count, and every random stream is derived from its seed-
-    tree address, so any two worker counts produce bit-identical per-trial
-    results.  For the looped engines the sharded path is additionally
-    bit-identical to ``workers=None``; the stacked ensemble engine reseeds
-    per shard, so its sharded results differ from the single-stack
-    ``workers=None`` run (statistically equivalent, pinned by the
-    conformance tests).  ``timing_sink``, when given, receives one
-    :class:`~repro.engine.parallel.ShardTiming` per executed shard.
+    :mod:`repro.engine.parallel`: ``None`` (default) runs every shard
+    serially in-process without recording timings, ``1`` does the same
+    through the executor, and higher counts (or ``"auto"``) fan the shards
+    over a process pool — ``engine_factory`` must then be picklable (a
+    module-level function or :func:`functools.partial` over one).  The
+    shard layout is independent of the worker count, and every random
+    stream is derived from its seed-tree address, so any two worker counts
+    produce bit-identical per-trial results.  The one exception is the
+    stacked ensemble engine with ``workers=None``: it runs all trials as a
+    single stack seeded by the root seed, so its results differ from the
+    per-shard stacks (statistically equivalent, pinned by the conformance
+    tests).  ``timing_sink``, when given, receives one
+    :class:`~repro.engine.parallel.ShardTiming` per shard executed through
+    the executor.
 
     Long-horizon runs opt into crash recovery with ``checkpoint_every=C``
     (parallel time between checkpoints, a multiple of ``snapshot_every``)
@@ -540,38 +505,20 @@ def run_engine_trials(
     interrupted run loses at most about that much progress per shard), and
     a ``manifest.json`` pins the workload.  ``resume_from=D`` continues an
     interrupted run from those files (``checkpoint_dir`` defaults to the
-    resume directory); missing files mean a fresh start, corrupt files or
-    a workload mismatch raise :class:`~repro.engine.errors.
-    CheckpointError`.  A resumed run is bit-identical to an uninterrupted
-    one.  Checkpointing always uses the sharded execution path (serially
-    when ``workers`` is ``None``), so a checkpointed ensemble run matches
-    ``workers=1``, not the single-stack mode.  ``interrupt_after=N``
-    injects a deterministic :class:`~repro.engine.checkpoint.
-    CheckpointInterrupted` after the N-th checkpoint write (per shard) for
-    kill-and-resume tests.
-
-    ``options`` bundles the execution knobs this layer consumes (workers +
-    the four checkpoint fields) as an
-    :class:`~repro.engine.options.ExecutionOptions`; passing the object
-    together with a conflicting legacy keyword raises a
-    :class:`~repro.engine.errors.ConfigurationError`.  The bundle's
-    effort/preset/engine/jit fields do not apply here — the workload is the
-    explicit ``engine``/``engine_factory`` pair.
+    resume directory, the cadence to the manifest's); missing files mean a
+    fresh start, corrupt files or a workload mismatch raise
+    :class:`~repro.engine.errors.CheckpointError`.  A resumed run is
+    bit-identical to an uninterrupted one.  Checkpointed runs always go
+    through the executor (serially when ``workers`` is ``None``), so a
+    checkpointed ensemble run matches ``workers=1``, not the single-stack
+    mode.  ``interrupt_after=N`` injects a deterministic
+    :class:`~repro.engine.checkpoint.CheckpointInterrupted` after the N-th
+    checkpoint write (per shard) for kill-and-resume tests.
     """
-    if options is not None:
-        opts = ExecutionOptions.merge(
-            options,
-            workers=workers,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            interrupt_after=interrupt_after,
-        )
-        workers = opts.workers
-        checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
-        resume_from, interrupt_after = opts.resume_from, opts.interrupt_after
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if parallel_time < 1:
+        raise ValueError(f"parallel_time must be at least 1, got {parallel_time}")
     resolved = resolve_workers(workers)
     checkpointing = (
         checkpoint_every is not None
@@ -580,18 +527,7 @@ def run_engine_trials(
     )
     if checkpointing:
         if checkpoint_every is None and resume_from is not None:
-            # Resuming re-reads the cadence from the run's own manifest, so
-            # `resume_from=dir` alone is enough to continue a run.
-            manifest_path = Path(resume_from) / CHECKPOINT_MANIFEST
-            if manifest_path.exists():
-                try:
-                    checkpoint_every = int(
-                        json.loads(manifest_path.read_text())["checkpoint_every"]
-                    )
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    raise CheckpointError(
-                        f"unreadable checkpoint manifest {manifest_path}: {exc}"
-                    ) from exc
+            checkpoint_every = manifest_cadence(resume_from)
         if checkpoint_every is None:
             raise ConfigurationError(
                 "checkpoint_every is required when checkpoint_dir is given "
@@ -620,32 +556,18 @@ def run_engine_trials(
             "interrupt_after only applies to checkpointed runs "
             "(pass checkpoint_every/checkpoint_dir)"
         )
-    if resolved is None:
-        if engine == "ensemble":
-            simulator = engine_factory(engine, RandomSource.from_seed(seed), trials)
-            result = simulator.run(parallel_time, snapshot_every=snapshot_every)
-            return [trial_result.series() for trial_result in result.trial_results]
-        all_series = []
-        for generator in spawn_streams(seed, trials):
-            simulator = engine_factory(engine, RandomSource(generator), None)
-            result = simulator.run(parallel_time, snapshot_every=snapshot_every)
-            all_series.append(result.series())
-        return all_series
+    if resolved is None and engine == "ensemble":
+        simulator = engine_factory(engine, RandomSource.from_seed(seed), trials)
+        result = simulator.run(parallel_time, snapshot_every=snapshot_every)
+        return [trial_result.series() for trial_result in result.trial_results]
 
     tree = SeedTree.from_seed(seed)
     shards = plan_shards(trials)
-    if checkpointing:
-        shard_fn = (
-            _run_ensemble_engine_shard_checkpointed
-            if engine == "ensemble"
-            else _run_looped_engine_shard_checkpointed
-        )
-    else:
-        shard_fn = (
-            _run_ensemble_engine_shard
-            if engine == "ensemble"
-            else _run_looped_engine_shard
-        )
+    shard_fn = (
+        _run_ensemble_engine_shard_checkpointed
+        if engine == "ensemble"
+        else _run_looped_engine_shard_checkpointed
+    )
     payloads = [
         {
             "factory": engine_factory,
@@ -655,6 +577,11 @@ def run_engine_trials(
             "stop": shard.stop,
             "parallel_time": parallel_time,
             "snapshot_every": snapshot_every,
+            "checkpoint_every": checkpoint_every,
+            "checkpoint_dir": None if checkpoint_dir is None else str(checkpoint_dir),
+            "resume_from": None if resume_from is None else str(resume_from),
+            "seed": seed,
+            "interrupt_after": interrupt_after,
         }
         for shard in shards
     ]
@@ -674,321 +601,12 @@ def run_engine_trials(
                 "shards": [[shard.start, shard.stop] for shard in shards],
             },
         )
-        for payload in payloads:
-            payload["checkpoint_every"] = checkpoint_every
-            payload["checkpoint_dir"] = str(checkpoint_dir)
-            payload["resume_from"] = None if resume_from is None else str(resume_from)
-            payload["seed"] = seed
-            payload["interrupt_after"] = interrupt_after
-    per_shard, timings = execute_shards(
-        shard_fn, payloads, workers=resolved, shards=shards
-    )
-    if timing_sink is not None:
-        timing_sink.extend(timings)
+    if resolved is None:
+        per_shard = [shard_fn(payload) for payload in payloads]
+    else:
+        per_shard, timings = execute_shards(
+            shard_fn, payloads, workers=resolved, shards=shards
+        )
+        if timing_sink is not None:
+            timing_sink.extend(timings)
     return merge_shard_results(shards, per_shard)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Workload description for the stacked single-pass trial mode.
-
-    Passing one of these to :class:`TrialRunner` replaces the per-trial
-    loop with a single :class:`repro.engine.ensemble_engine.
-    EnsembleSimulator` run holding all trials as ``(trials, n)`` stacked
-    arrays.
-
-    Attributes
-    ----------
-    protocol:
-        A scalar protocol with a registered vectorised counterpart, or a
-        :class:`repro.engine.batch_engine.VectorizedProtocol` directly.
-    n:
-        Population size of every trial.
-    parallel_time:
-        Horizon each trial runs for.
-    snapshot_every / resize_schedule / initial_arrays / sub_batches:
-        Forwarded to the ensemble engine (see
-        :func:`repro.engine.registry.make_engine`).
-    data_fn:
-        Optional extractor ``(RunResult) -> dict`` building each outcome's
-        ``data``; defaults to the result's :meth:`~repro.engine.api.
-        RunResult.series` columns, which is what
-        :meth:`TrialRunner.run_and_aggregate` consumes.
-    """
-
-    protocol: Any
-    n: int
-    parallel_time: int
-    snapshot_every: int = 1
-    resize_schedule: tuple[tuple[int, int], ...] = ()
-    initial_arrays: Mapping[str, np.ndarray] | None = None
-    sub_batches: int = 8
-    data_fn: Callable[[RunResult], dict[str, Any]] | None = None
-
-
-def _run_trial_fn_shard(
-    payload: dict[str, Any],
-) -> list[tuple[int, SimulationResult, dict[str, Any]]]:
-    """Run one row-shard of ``trial_fn`` trials; module-level for pickling.
-
-    Every trial's stream is the one at its seed-tree address
-    (``tree.trial(t)``): the root entropy is mixed into every derivation,
-    so two runners with the same trial count but distinct base seeds can
-    never silently reuse streams, and the result is independent of how
-    trials are grouped into shards.
-    """
-    tree: SeedTree = payload["tree"]
-    trial_fn = payload["trial_fn"]
-    outcomes = []
-    for trial in range(payload["start"], payload["stop"]):
-        result, data = trial_fn(trial, tree.trial(trial).source())
-        outcomes.append((trial, result, data))
-    return outcomes
-
-
-def _shard_initial_arrays(
-    initial_arrays: Mapping[str, np.ndarray] | None,
-    total_trials: int,
-    start: int,
-    stop: int,
-) -> dict[str, np.ndarray] | None:
-    """Restrict an ensemble's initial arrays to one row-shard's trials.
-
-    Per-trial 2-D ``(trials, n)`` state planes are sliced to the shard's
-    rows; shared 1-D length-``n`` arrays (every trial starts identically)
-    pass through untouched.
-    """
-    if initial_arrays is None:
-        return None
-    sliced: dict[str, np.ndarray] = {}
-    for key, value in initial_arrays.items():
-        arr = np.asarray(value)
-        if arr.ndim == 2 and arr.shape[0] == total_trials:
-            arr = arr[start:stop]
-        sliced[key] = arr
-    return sliced
-
-
-def _run_ensemble_spec_shard(payload: dict[str, Any]) -> list[RunResult]:
-    """Run one row-shard of an :class:`EnsembleSpec` as its own stack.
-
-    Module-level for pickling; returns the shard's per-trial
-    :class:`RunResult` objects.  The payload carries the spec's plain-data
-    fields only — ``data_fn`` extraction happens in the parent, and the
-    initial arrays arrive pre-sliced to the shard's rows — so the spec's
-    callable never crosses the process boundary.
-    """
-    from repro.engine.registry import make_engine
-
-    spec: EnsembleSpec = payload["spec"]
-    tree: SeedTree = payload["tree"]
-    engine = make_engine(
-        "ensemble",
-        spec.protocol,
-        spec.n,
-        trials=payload["stop"] - payload["start"],
-        rng=tree.child(SHARD_NAMESPACE, payload["start"]).source(),
-        resize_schedule=spec.resize_schedule,
-        initial_arrays=payload["initial_arrays"],
-        sub_batches=spec.sub_batches,
-    )
-    result = engine.run(spec.parallel_time, snapshot_every=spec.snapshot_every)
-    return list(result.trial_results)
-
-
-class TrialRunner:
-    """Runs several independent trials of the same experiment.
-
-    Parameters
-    ----------
-    trial_fn:
-        Callable ``(trial_index, rng) -> (SimulationResult, data)`` that
-        builds and runs one simulation.  ``data`` is a free-form dictionary
-        of extracted series (e.g. the estimate min/median/max over time).
-        Omit it (pass ``None``) when running in ensemble mode.
-    trials:
-        Number of independent repetitions.
-    seed:
-        Root seed of the runner's :class:`~repro.engine.rng.SeedTree`;
-        looped modes derive per-trial streams from it (``tree.trial(t)``),
-        the single-stack ensemble mode feeds it to the stacked engine's
-        stream, and the sharded modes derive per-shard streams from the
-        same tree.
-    workers:
-        Opt-in sharded execution (see :mod:`repro.engine.parallel`):
-        ``None`` keeps the historical serial behaviour, ``1`` runs the
-        sharded path serially, higher counts (or ``"auto"``) fan the
-        row-shards over a process pool — ``trial_fn`` (and the data it
-        returns) must then be picklable, in practice a module-level
-        function.  The shard layout never depends on the worker count, so
-        any two worker counts are bit-identical per trial; for looped
-        trials they are additionally bit-identical to ``workers=None``.
-    processes:
-        Backwards-compatible alias for ``workers`` (the pre-shard
-        multiprocessing knob); ignored when ``workers`` is given.
-    ensemble:
-        Opt-in stacked execution: an :class:`EnsembleSpec` describing the
-        workload.  With ``workers=None`` all trials run in one
-        :class:`repro.engine.ensemble_engine.EnsembleSimulator` pass — the
-        fastest single-core mode for vectorisable protocols; with
-        ``workers`` the stack is split into row-shards, one stacked engine
-        per shard, seeded by shard address.  Outcomes keep the exact
-        ``list[TrialOutcome]`` shape of the looped modes either way.
-        Mutually exclusive with ``trial_fn``.
-    """
-
-    def __init__(
-        self,
-        trial_fn: Callable[[int, RandomSource], tuple[SimulationResult, dict[str, Any]]]
-        | None = None,
-        *,
-        trials: int,
-        seed: int | None = None,
-        workers: int | str | None = None,
-        processes: int | None = None,
-        ensemble: EnsembleSpec | None = None,
-    ) -> None:
-        if trials < 1:
-            raise ValueError(f"trials must be at least 1, got {trials}")
-        if processes is not None and processes < 1:
-            raise ValueError(f"processes must be at least 1, got {processes}")
-        if ensemble is None and trial_fn is None:
-            raise ValueError("provide either trial_fn or an EnsembleSpec")
-        if ensemble is not None and trial_fn is not None:
-            raise ValueError(
-                "trial_fn and ensemble are mutually exclusive; the ensemble "
-                "spec already describes the whole workload"
-            )
-        if ensemble is not None and processes is not None:
-            raise ValueError(
-                "processes does not apply to ensemble mode (it predates "
-                "sharding); pass workers=N to split the stack into row-shards"
-            )
-        if workers is None and processes is not None:
-            workers = processes
-        self._trial_fn = trial_fn
-        self.trials = trials
-        self.seed = seed
-        self.workers = resolve_workers(workers)
-        self.processes = processes
-        self.ensemble = ensemble
-        #: Per-shard wall-clock timings of the last sharded :meth:`run`.
-        self.shard_timings: list[ShardTiming] = []
-
-    def run(self) -> list[TrialOutcome]:
-        """Execute all trials and return their outcomes in trial order."""
-        self.shard_timings = []
-        if self.ensemble is not None:
-            if self.workers is None:
-                return self._run_ensemble(self.ensemble)
-            return self._run_ensemble_sharded(self.ensemble)
-        tree = SeedTree.from_seed(self.seed)
-        shards = plan_shards(self.trials)
-        payloads = [
-            {
-                "trial_fn": self._trial_fn,
-                "tree": tree,
-                "start": shard.start,
-                "stop": shard.stop,
-            }
-            for shard in shards
-        ]
-        per_shard, timings = execute_shards(
-            _run_trial_fn_shard,
-            payloads,
-            workers=self.workers if self.workers is not None else 1,
-            shards=shards,
-        )
-        self.shard_timings = timings
-        triples = merge_shard_results(shards, per_shard)
-        return [
-            TrialOutcome(trial=trial, seed_stream=trial, result=result, data=data)
-            for trial, result, data in triples
-        ]
-
-    def _run_ensemble(self, spec: EnsembleSpec) -> list[TrialOutcome]:
-        """Run all trials as one stacked ensemble pass."""
-        from repro.engine.registry import make_engine
-
-        engine = make_engine(
-            "ensemble",
-            spec.protocol,
-            spec.n,
-            trials=self.trials,
-            seed=self.seed,
-            resize_schedule=spec.resize_schedule,
-            initial_arrays=dict(spec.initial_arrays)
-            if spec.initial_arrays is not None
-            else None,
-            sub_batches=spec.sub_batches,
-        )
-        result = engine.run(spec.parallel_time, snapshot_every=spec.snapshot_every)
-        return self._ensemble_outcomes(spec, list(enumerate(result.trial_results)))
-
-    def _run_ensemble_sharded(self, spec: EnsembleSpec) -> list[TrialOutcome]:
-        """Run the stacked workload as row-shards over the worker pool.
-
-        Each shard is its own :class:`EnsembleSimulator` stack seeded at
-        the shard's seed-tree address, so the shard layout (fixed by the
-        trial count) fully determines every stream — any worker count
-        reproduces the same per-trial results.  ``data_fn`` is applied in
-        the parent process, so only the spec itself must be picklable.
-        """
-        tree = SeedTree.from_seed(self.seed)
-        shards = plan_shards(self.trials)
-        # Ship a plain-data spec: data_fn stays in the parent (it may be a
-        # lambda), and each shard receives only its rows of any per-trial
-        # initial arrays.
-        portable_spec = dataclasses.replace(spec, data_fn=None, initial_arrays=None)
-        payloads = [
-            {
-                "spec": portable_spec,
-                "tree": tree,
-                "start": shard.start,
-                "stop": shard.stop,
-                "initial_arrays": _shard_initial_arrays(
-                    spec.initial_arrays, self.trials, shard.start, shard.stop
-                ),
-            }
-            for shard in shards
-        ]
-        per_shard, timings = execute_shards(
-            _run_ensemble_spec_shard,
-            payloads,
-            workers=self.workers if self.workers is not None else 1,
-            shards=shards,
-        )
-        self.shard_timings = timings
-        results = merge_shard_results(shards, per_shard)
-        return self._ensemble_outcomes(spec, list(enumerate(results)))
-
-    def _ensemble_outcomes(
-        self, spec: EnsembleSpec, results: list[tuple[int, RunResult]]
-    ) -> list[TrialOutcome]:
-        outcomes = []
-        for trial, trial_result in results:
-            data = (
-                spec.data_fn(trial_result)
-                if spec.data_fn is not None
-                else trial_result.series()
-            )
-            outcomes.append(
-                TrialOutcome(
-                    trial=trial, seed_stream=trial, result=trial_result, data=data
-                )
-            )
-        return outcomes
-
-    def run_and_aggregate(
-        self,
-        series_key: str,
-        index_key: str = "parallel_time",
-    ) -> tuple[list[TrialOutcome], AggregatedSeries]:
-        """Run all trials and aggregate ``data[series_key]`` across them.
-
-        The index (x-axis) is taken from the first trial's ``data[index_key]``.
-        """
-        outcomes = self.run()
-        index = outcomes[0].data.get(index_key, [])
-        per_trial = [outcome.data[series_key] for outcome in outcomes]
-        return outcomes, aggregate_series(series_key, index, per_trial)

@@ -19,7 +19,6 @@ mid-run traceback.
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -29,7 +28,7 @@ from repro.engine.errors import ConfigurationError, UnsupportedEngineError
 from repro.engine.options import ExecutionOptions, execution_metadata
 from repro.engine.parallel import execute_shards, resolve_workers
 from repro.engine.registry import choose_engine, engine_names
-from repro.engine.runner import CHECKPOINT_MANIFEST
+from repro.engine.runner import manifest_cadence
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, SweepSpec
 
@@ -139,25 +138,6 @@ def _subdir(root: Any, label: str) -> str | None:
     return str(Path(root) / _checkpoint_slug(label))
 
 
-def _sniff_checkpoint_every(resume_from: Any) -> int | None:
-    """Recover the checkpoint cadence from any manifest under ``resume_from``.
-
-    Lets ``resume_from`` alone continue a multi-point run: every point of
-    one scenario invocation shares the same cadence, so the first readable
-    per-point manifest pins it; points that never started fall back to it.
-    Returns ``None`` when no manifest exists yet (fresh start — the caller
-    must then supply ``checkpoint_every``).
-    """
-    if resume_from is None:
-        return None
-    for manifest in sorted(Path(resume_from).glob(f"*/{CHECKPOINT_MANIFEST}")):
-        try:
-            return int(json.loads(manifest.read_text())["checkpoint_every"])
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-    return None
-
-
 def run_scenario(
     spec_or_name: ScenarioSpec | str,
     *,
@@ -255,8 +235,10 @@ def run_scenario(
     if checkpointing:
         if checkpoint_dir is None:
             checkpoint_dir = resume_from
-        if checkpoint_every is None:
-            checkpoint_every = _sniff_checkpoint_every(resume_from)
+        if checkpoint_every is None and resume_from is not None:
+            # Every point shares the cadence, so points that never started
+            # take it from the ones that did.
+            checkpoint_every = manifest_cadence(resume_from, depth=1)
 
     if spec.executor is not None:
         resolved = _engine_for_point(
@@ -372,17 +354,7 @@ def _run_sweep_combo(payload: dict[str, Any]) -> "ExperimentResult":
     unpickle it.  The scenario travels by registry name (the spec itself
     may hold non-picklable factories) and is re-resolved in the worker.
     """
-    return run_scenario(
-        payload["scenario"],
-        preset=payload["preset"],
-        engine=payload["engine"],
-        workers=payload["workers"],
-        jit=payload["jit"],
-        checkpoint_every=payload.get("checkpoint_every"),
-        checkpoint_dir=payload.get("checkpoint_dir"),
-        resume_from=payload.get("resume_from"),
-        interrupt_after=payload.get("interrupt_after"),
-    )
+    return run_scenario(payload["scenario"], options=payload["options"])
 
 
 def run_sweep(
@@ -438,32 +410,14 @@ def run_sweep(
         resume_from=resume_from,
         interrupt_after=interrupt_after,
     )
-    effort, preset, engine, workers = opts.effort, opts.preset, opts.engine, opts.workers
-    jit, interrupt_after = opts.jit, opts.interrupt_after
-    checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
-    resume_from = opts.resume_from
-
     spec = _resolve_spec(sweep.scenario)
-    _validate_engine(spec, engine)
-    resolved_workers = resolve_workers(workers)
-    base = resolve_preset(spec, effort, preset)
-    expanded = sweep.expand(base)
-    checkpointing = opts.checkpointing
-    if checkpointing:
-        if checkpoint_dir is None:
-            checkpoint_dir = resume_from
-        if checkpoint_every is None and resume_from is not None:
-            # Combination subdirs nest point subdirs: */*/manifest.json.
-            for manifest in sorted(
-                Path(resume_from).glob(f"*/*/{CHECKPOINT_MANIFEST}")
-            ):
-                try:
-                    checkpoint_every = int(
-                        json.loads(manifest.read_text())["checkpoint_every"]
-                    )
-                    break
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue
+    _validate_engine(spec, opts.engine)
+    resolved_workers = resolve_workers(opts.workers)
+    expanded = sweep.expand(resolve_preset(spec, opts.effort, opts.preset))
+    resume_from, checkpoint_every = opts.resume_from, opts.checkpoint_every
+    checkpoint_dir = resume_from if opts.checkpoint_dir is None else opts.checkpoint_dir
+    if checkpoint_every is None and resume_from is not None:
+        checkpoint_every = manifest_cadence(resume_from, depth=2)
     for _, combo_preset in expanded:
         combo_params = resolve_params(spec, combo_preset)
         if spec.executor is None:
@@ -471,22 +425,24 @@ def run_sweep(
             # and resize schedules for every engine.
             tuple(spec.points(combo_preset, combo_params))
 
+    def combo_options(
+        label: str, combo_preset: ExperimentPreset, **changes: Any
+    ) -> ExecutionOptions:
+        """One combination's options: its preset and checkpoint subdirs."""
+        return opts.replace(
+            preset=combo_preset,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=_subdir(checkpoint_dir, label),
+            resume_from=_subdir(resume_from, label),
+            **changes,
+        )
+
     if resolved_workers is None or len(expanded) == 1:
         # Serial path (or a single combination, where trial-level sharding
         # inside run_scenario is the better use of the pool).
         results = []
         for label, combo_preset in expanded:
-            result = run_scenario(
-                spec,
-                preset=combo_preset,
-                engine=engine,
-                workers=workers,
-                jit=jit,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=_subdir(checkpoint_dir, label),
-                resume_from=_subdir(resume_from, label),
-                interrupt_after=interrupt_after,
-            )
+            result = run_scenario(spec, options=combo_options(label, combo_preset))
             result.metadata["sweep"] = label
             results.append((label, result))
         return results
@@ -494,16 +450,9 @@ def run_sweep(
     payloads = [
         {
             "scenario": sweep.scenario,
-            "preset": combo_preset,
-            "engine": engine,
             # Combinations are the unit of parallelism; each runs serially
             # inside its worker so results match workers=1 bit for bit.
-            "workers": None,
-            "jit": jit,
-            "checkpoint_every": checkpoint_every,
-            "checkpoint_dir": _subdir(checkpoint_dir, label),
-            "resume_from": _subdir(resume_from, label),
-            "interrupt_after": interrupt_after,
+            "options": combo_options(label, combo_preset, workers=None),
         }
         for label, combo_preset in expanded
     ]

@@ -4,7 +4,8 @@ Covers the acceptance surface of the ensemble work: registry round-trips,
 `RunResult`-compatible per-trial series, statistical equivalence with looped
 `BatchedSimulator` trials, per-trial stream independence, resize schedules
 applied across all rows, the `interact_ensemble` fallback contract, the
-`TrialRunner` ensemble mode, and the `--engine ensemble` experiment path.
+ensemble mode of `run_engine_trials`, and the `--engine ensemble` experiment
+path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.engine.batch_engine import BatchedSimulator, VectorizedProtocol
 from repro.engine.ensemble_engine import EnsembleRunResult, EnsembleSimulator
 from repro.engine.errors import ConfigurationError
 from repro.engine.registry import ENGINE_NAMES, make_engine
-from repro.engine.runner import EnsembleSpec, TrialRunner
+from repro.engine.runner import aggregate_series, run_engine_trials
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.experiments.base import ExperimentPreset
 from repro.experiments.fig3_relative_error import run_fig3
@@ -266,42 +267,30 @@ class TestInitialArrays:
         assert engine.arrays["max"].dtype == np.float64
 
 
-class TestTrialRunnerEnsemble:
-    def test_returns_trial_outcomes(self):
-        spec = EnsembleSpec(protocol=DynamicSizeCounting(), n=50, parallel_time=10)
-        runner = TrialRunner(trials=5, seed=31, ensemble=spec)
-        outcomes = runner.run()
-        assert [o.trial for o in outcomes] == [0, 1, 2, 3, 4]
-        for outcome in outcomes:
-            assert outcome.result.parallel_time == 10
-            assert "median" in outcome.data
-            assert len(outcome.data["median"]) == 10
+def _ensemble_factory(engine_name, rng, trials):
+    return make_engine(engine_name, DynamicSizeCounting(), 50, rng=rng, trials=trials)
 
-    def test_run_and_aggregate(self):
-        spec = EnsembleSpec(protocol=DynamicSizeCounting(), n=50, parallel_time=12)
-        runner = TrialRunner(trials=4, seed=32, ensemble=spec)
-        outcomes, aggregated = runner.run_and_aggregate("median")
-        assert len(outcomes) == 4
-        assert len(aggregated.median) == len(aggregated.index) == 12
 
-    def test_custom_data_fn(self):
-        spec = EnsembleSpec(
-            protocol=DynamicSizeCounting(),
-            n=40,
-            parallel_time=5,
-            data_fn=lambda result: {"final": result.snapshots[-1].median},
+class TestRunEngineTrialsEnsemble:
+    def test_returns_one_series_per_trial(self):
+        series = run_engine_trials(
+            _ensemble_factory, engine="ensemble", trials=5, seed=31, parallel_time=10
         )
-        outcomes = TrialRunner(trials=3, seed=33, ensemble=spec).run()
-        assert all("final" in o.data for o in outcomes)
+        assert len(series) == 5
+        for trial_series in series:
+            assert trial_series["parallel_time"][-1] == 10
+            assert "median" in trial_series
+            assert len(trial_series["median"]) == 10
 
-    def test_mutual_exclusion_validation(self):
-        spec = EnsembleSpec(protocol=DynamicSizeCounting(), n=10, parallel_time=1)
-        with pytest.raises(ValueError):
-            TrialRunner(trials=2)
-        with pytest.raises(ValueError):
-            TrialRunner(lambda t, rng: None, trials=2, ensemble=spec)
-        with pytest.raises(ValueError):
-            TrialRunner(trials=2, processes=2, ensemble=spec)
+    def test_aggregate_series(self):
+        series = run_engine_trials(
+            _ensemble_factory, engine="ensemble", trials=4, seed=32, parallel_time=12
+        )
+        aggregated = aggregate_series(
+            "median", series[0]["parallel_time"], [s["median"] for s in series]
+        )
+        assert len(series) == 4
+        assert len(aggregated.median) == len(aggregated.index) == 12
 
 
 class TestExperimentPath:

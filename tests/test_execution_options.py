@@ -1,9 +1,9 @@
 """The unified ExecutionOptions API.
 
-One frozen bundle, validated in one place, accepted by every entry point
-(`run_scenario`, `run_sweep`, `run_engine_trials`, serve's `RunRequest`),
-with the legacy keyword arguments still working — and passing both sides
-raising a clear error instead of silently preferring one.
+One frozen bundle, validated in one place, accepted by every scenario-level
+entry point (`run_scenario`, `run_sweep`, serve's `RunRequest`), with the
+legacy keyword arguments still working — and passing both sides raising a
+clear error instead of silently preferring one.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import pytest
 
 from repro.engine.errors import ConfigurationError
 from repro.engine.options import ExecutionOptions, execution_metadata, jit_status
-from repro.engine.runner import run_engine_trials
 from repro.experiments.base import ExperimentPreset
-from repro.experiments.figures import _trace_engine_factory
 from repro.scenarios.runner import run_scenario, run_sweep
 from repro.scenarios.spec import SweepSpec
 from repro.serve.service import RunRequest
@@ -114,48 +112,6 @@ class TestRunSweep:
         sweep = SweepSpec.from_mapping("oscillate", {"n": (60,)})
         with pytest.raises(ConfigurationError, match="conflicting keyword"):
             run_sweep(sweep, options=ExecutionOptions(), effort="paper")
-
-
-class TestRunEngineTrials:
-    def _factory(self, engine, rng, ensemble_trials):
-        from repro.core.params import empirical_parameters
-
-        return _trace_engine_factory(
-            engine,
-            rng,
-            ensemble_trials,
-            n=64,
-            params=empirical_parameters(),
-            resize_schedule=(),
-            initial_estimate=None,
-            sub_batches=4,
-        )
-
-    def test_options_equivalent_to_legacy(self):
-        legacy = run_engine_trials(
-            self._factory, engine="batched", trials=2, seed=5, parallel_time=10
-        )
-        bundled = run_engine_trials(
-            self._factory,
-            engine="batched",
-            trials=2,
-            seed=5,
-            parallel_time=10,
-            options=ExecutionOptions(),
-        )
-        assert bundled == legacy
-
-    def test_both_sides_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
-            run_engine_trials(
-                self._factory,
-                engine="batched",
-                trials=2,
-                seed=5,
-                parallel_time=10,
-                workers=2,
-                options=ExecutionOptions(workers=2),
-            )
 
 
 class TestRunRequest:

@@ -1,8 +1,8 @@
 """Tests for the sharded parallel execution layer (repro.engine.parallel).
 
 Covers the seed tree, shard planning, the executor, and the wiring through
-``TrialRunner`` / ``run_engine_trials`` / ``choose_engine`` /
-``run_scenario`` / ``run_sweep`` / the CLI.  The determinism contract —
+``run_engine_trials`` / ``choose_engine`` / ``run_scenario`` /
+``run_sweep`` / the CLI.  The determinism contract —
 bit-identical per-trial results across worker counts — has its own golden
 regression module (``test_parallel_determinism.py``); here we test the
 mechanisms and the API surface.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
@@ -27,11 +26,9 @@ from repro.engine.parallel import (
     plan_shards,
     resolve_workers,
 )
-from repro.engine.recorder import EstimateRecorder
 from repro.engine.registry import choose_engine, make_engine
 from repro.engine.rng import SeedTree, spawn_streams
-from repro.engine.runner import EnsembleSpec, TrialRunner, run_engine_trials
-from repro.engine.simulator import Simulator
+from repro.engine.runner import run_engine_trials
 from repro.protocols.static_counting import MaxGrvCounting
 
 
@@ -259,116 +256,6 @@ class TestMergeShardResults:
             )
 
 
-# ------------------------------------------------------------- TrialRunner
-
-
-def _picklable_trial(trial_index, rng):
-    """Module-level trial function so that worker processes can unpickle it."""
-    recorder = EstimateRecorder()
-    simulator = Simulator(MaxGrvCounting(), 30, rng=rng, recorders=[recorder])
-    result = simulator.run(10)
-    series = recorder.series()
-    return result, {"maximum": series["maximum"]}
-
-
-class TestTrialRunnerWorkers:
-    def test_workers_none_matches_legacy_serial(self):
-        legacy = TrialRunner(_picklable_trial, trials=4, seed=11).run()
-        sharded = TrialRunner(_picklable_trial, trials=4, seed=11, workers=1).run()
-        assert [o.data for o in legacy] == [o.data for o in sharded]
-
-    def test_worker_counts_are_bit_identical(self):
-        one = TrialRunner(_picklable_trial, trials=5, seed=11, workers=1).run()
-        three = TrialRunner(_picklable_trial, trials=5, seed=11, workers=3).run()
-        assert [o.trial for o in three] == [0, 1, 2, 3, 4]
-        assert [o.data for o in one] == [o.data for o in three]
-
-    def test_processes_alias_still_works(self):
-        alias = TrialRunner(_picklable_trial, trials=3, seed=7, processes=2).run()
-        direct = TrialRunner(_picklable_trial, trials=3, seed=7, workers=2).run()
-        assert [o.data for o in alias] == [o.data for o in direct]
-
-    def test_distinct_base_seeds_produce_distinct_streams(self):
-        """Respawn-hazard regression at the runner level: same trial count,
-        different base seeds, no stream reuse anywhere."""
-        first = TrialRunner(_picklable_trial, trials=3, seed=100, workers=2).run()
-        second = TrialRunner(_picklable_trial, trials=3, seed=200, workers=2).run()
-        for left, right in zip(first, second):
-            assert left.data["maximum"] != right.data["maximum"]
-
-    def test_shard_timings_recorded(self):
-        runner = TrialRunner(_picklable_trial, trials=4, seed=1, workers=2)
-        runner.run()
-        assert len(runner.shard_timings) == 1  # 4 trials fit one shard
-        assert runner.shard_timings[0].stop == 4
-
-    def test_ensemble_sharded_matches_across_worker_counts(self):
-        spec = EnsembleSpec(protocol=DynamicSizeCounting(), n=150, parallel_time=6)
-        one = TrialRunner(trials=20, seed=9, ensemble=spec, workers=1).run()
-        four = TrialRunner(trials=20, seed=9, ensemble=spec, workers=4).run()
-        assert [o.trial for o in four] == list(range(20))
-        for left, right in zip(one, four):
-            assert left.data == right.data
-
-    def test_ensemble_sharded_splits_the_stack(self):
-        spec = EnsembleSpec(protocol=DynamicSizeCounting(), n=100, parallel_time=4)
-        runner = TrialRunner(trials=20, seed=9, ensemble=spec, workers=1)
-        runner.run()
-        assert [t.stop - t.start for t in runner.shard_timings] == [7, 7, 6]
-
-    def test_ensemble_data_fn_applied_in_parent(self):
-        spec = EnsembleSpec(
-            protocol=DynamicSizeCounting(),
-            n=60,
-            parallel_time=4,
-            # A lambda is deliberately non-picklable: it must never cross
-            # the process boundary.  18 trials span multiple shards, so
-            # workers=2 genuinely ships payloads through the pool.
-            data_fn=lambda result: {"final": result.snapshots[-1].median},
-        )
-        outcomes = TrialRunner(trials=18, seed=3, ensemble=spec, workers=2).run()
-        assert len(outcomes) == 18
-        assert all("final" in o.data for o in outcomes)
-
-    def test_ensemble_per_trial_initial_arrays_sliced_per_shard(self):
-        """A 2-D (trials, n) initial state must land row-by-row in the
-        right trial regardless of shard boundaries or worker count."""
-        import numpy as np
-
-        from repro.core.vectorized import VectorizedDynamicCounting
-
-        trials, n = 18, 40
-        vectorized = VectorizedDynamicCounting()
-        base = vectorized.initial_arrays_with_estimate(n, 12.0)
-        # Give every trial a distinct initial estimate plane.
-        stacked = {
-            key: np.stack(
-                [np.asarray(value) + (0.5 * t if key == "max" else 0.0)
-                 for t in range(trials)]
-            )
-            for key, value in base.items()
-        }
-        spec = EnsembleSpec(
-            protocol=vectorized,
-            n=n,
-            parallel_time=3,
-            initial_arrays=stacked,
-        )
-        serial = TrialRunner(trials=trials, seed=5, ensemble=spec, workers=1).run()
-        pooled = TrialRunner(trials=trials, seed=5, ensemble=spec, workers=3).run()
-        assert [o.data for o in serial] == [o.data for o in pooled]
-        # The per-trial planes really differ, so a mis-sliced shard would
-        # show up as shifted starting estimates.
-        first_points = [o.data["maximum"][0] for o in serial]
-        assert len(set(first_points)) > 1
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ConfigurationError):
-            TrialRunner(_picklable_trial, trials=2, workers=0)
-        with pytest.raises(ConfigurationError):
-            TrialRunner(_picklable_trial, trials=2, workers="many")
-
-
 # -------------------------------------------------------- run_engine_trials
 
 
@@ -380,6 +267,21 @@ def _counting_engine_factory(engine_name, rng, ensemble_trials):
         50,
         rng=rng,
         trials=ensemble_trials if engine_name == "ensemble" else None,
+    )
+
+
+def _max_grv_factory(engine_name, rng, ensemble_trials):
+    return make_engine(engine_name, MaxGrvCounting(), 30, rng=rng)
+
+
+def _run_counting(engine, *, trials, seed, parallel_time=5, **kwargs):
+    return run_engine_trials(
+        _counting_engine_factory,
+        engine=engine,
+        trials=trials,
+        seed=seed,
+        parallel_time=parallel_time,
+        **kwargs,
     )
 
 
@@ -427,6 +329,51 @@ class TestRunEngineTrialsWorkers:
         )
         assert len(sink) == 1
         assert sink[0].stop == 5
+
+    def test_looped_worker_counts_are_bit_identical(self):
+        one = _run_counting("batched", trials=5, seed=11, workers=1)
+        three = _run_counting("batched", trials=5, seed=11, workers=3)
+        assert len(three) == 5
+        assert one == three
+
+    def test_distinct_base_seeds_produce_distinct_streams(self):
+        """Respawn-hazard regression at the executor level: same trial
+        count, different base seeds, no stream reuse anywhere."""
+        first, second = (
+            run_engine_trials(
+                _max_grv_factory,
+                engine="sequential",
+                trials=3,
+                seed=seed,
+                parallel_time=10,
+                workers=2,
+            )
+            for seed in (100, 200)
+        )
+        for left, right in zip(first, second):
+            assert left["maximum"] != right["maximum"]
+
+    def test_timing_sink_under_a_pool(self):
+        sink: list[ShardTiming] = []
+        _run_counting("batched", trials=4, seed=1, workers=2, timing_sink=sink)
+        assert len(sink) == 1  # 4 trials fit one shard
+        assert sink[0].stop == 4
+
+    def test_ensemble_sharded_splits_the_stack(self):
+        sink: list[ShardTiming] = []
+        _run_counting("ensemble", trials=20, seed=9, workers=1, timing_sink=sink)
+        assert [t.stop - t.start for t in sink] == [7, 7, 6]
+
+    def test_serial_path_records_no_timings(self):
+        sink: list[ShardTiming] = []
+        _run_counting("batched", trials=3, seed=1, timing_sink=sink)
+        assert sink == []
+
+    def test_rejects_bad_workers(self):
+        with pytest.raises(ConfigurationError):
+            _run_counting("batched", trials=2, seed=1, workers=0)
+        with pytest.raises(ConfigurationError):
+            _run_counting("batched", trials=2, seed=1, workers="many")
 
     def test_workers_auto_accepted(self):
         series = run_engine_trials(
