@@ -53,7 +53,7 @@ from repro.engine.errors import (
     ProtocolContractError,
     UnknownAgentError,
 )
-from repro.engine.options import ExecutionOptions, execution_metadata, jit_status
+from repro.engine.options import execution_metadata, jit_status
 from repro.engine.parallel import (
     DEFAULT_SHARD_SIZE,
     MAX_AUTO_WORKERS,
@@ -143,7 +143,6 @@ __all__ = [
     "EnsembleSimulator",
     "EstimateRecorder",
     "EventRecorder",
-    "ExecutionOptions",
     "InteractionContext",
     "InvalidScheduleError",
     "MemoryRecorder",

@@ -56,6 +56,7 @@ __all__ = [
     "AggregatedSeries",
     "SHARD_NAMESPACE",
     "aggregate_series",
+    "checkpoint_settings",
     "run_engine_trials",
 ]
 
@@ -452,6 +453,67 @@ def manifest_cadence(directory: str | Path, depth: int = 0) -> int | None:
     return None
 
 
+def checkpoint_settings(
+    *,
+    checkpoint_every: int | None,
+    checkpoint_dir: str | Path | None,
+    resume_from: str | Path | None,
+    interrupt_after: int | None,
+    depth: int = 0,
+) -> tuple[bool, int | None, str | Path | None]:
+    """Validate and complete the crash-recovery settings of one run.
+
+    The one place every checkpoint setting is checked, at each nesting
+    ``depth`` of :func:`manifest_cadence`: ``checkpoint_every`` and
+    ``interrupt_after`` must be positive integers, and ``interrupt_after``
+    needs checkpointing.  ``checkpoint_dir`` defaults to ``resume_from``,
+    and a missing cadence is read from the manifests under
+    ``resume_from``.  Returns ``(checkpointing, checkpoint_every,
+    checkpoint_dir)``.
+
+    Only a :func:`run_engine_trials` run (depth ``0``) insists on a
+    cadence and a directory: above it, points that never started take the
+    cadence from those that did, and bespoke executors never checkpoint.
+    """
+    for name, value in (
+        ("checkpoint_every", checkpoint_every),
+        ("interrupt_after", interrupt_after),
+    ):
+        if value is not None and (
+            not isinstance(value, int) or isinstance(value, bool) or value < 1
+        ):
+            raise ConfigurationError(
+                f"{name} must be a positive integer or None, got {value!r}"
+            )
+    checkpointing = (
+        checkpoint_every is not None
+        or checkpoint_dir is not None
+        or resume_from is not None
+    )
+    if not checkpointing:
+        if interrupt_after is not None:
+            raise ConfigurationError(
+                "interrupt_after only applies to checkpointed runs "
+                "(pass checkpoint_every/checkpoint_dir/resume_from)"
+            )
+        return False, None, None
+    if checkpoint_dir is None:
+        checkpoint_dir = resume_from
+    if checkpoint_every is None and resume_from is not None:
+        checkpoint_every = manifest_cadence(resume_from, depth)
+    if depth == 0:
+        if checkpoint_every is None:
+            raise ConfigurationError(
+                "checkpoint_every is required when checkpoint_dir is given "
+                "(or resume_from names a directory without a manifest)"
+            )
+        if checkpoint_dir is None:
+            raise ConfigurationError(
+                "checkpoint_every requires checkpoint_dir (or resume_from)"
+            )
+    return True, checkpoint_every, checkpoint_dir
+
+
 def run_engine_trials(
     engine_factory: Callable[[str, RandomSource, int | None], Any],
     *,
@@ -520,42 +582,21 @@ def run_engine_trials(
     if parallel_time < 1:
         raise ValueError(f"parallel_time must be at least 1, got {parallel_time}")
     resolved = resolve_workers(workers)
-    checkpointing = (
-        checkpoint_every is not None
-        or checkpoint_dir is not None
-        or resume_from is not None
+    checkpointing, checkpoint_every, checkpoint_dir = checkpoint_settings(
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        resume_from=resume_from,
+        interrupt_after=interrupt_after,
     )
     if checkpointing:
-        if checkpoint_every is None and resume_from is not None:
-            checkpoint_every = manifest_cadence(resume_from)
-        if checkpoint_every is None:
-            raise ConfigurationError(
-                "checkpoint_every is required when checkpoint_dir is given "
-                "(or resume_from names a directory without a manifest)"
-            )
-        if checkpoint_every < 1:
-            raise ConfigurationError(
-                f"checkpoint_every must be at least 1, got {checkpoint_every}"
-            )
         if checkpoint_every % snapshot_every != 0:
             raise ConfigurationError(
                 f"checkpoint_every ({checkpoint_every}) must be a multiple of "
                 f"snapshot_every ({snapshot_every}) so that checkpoint "
                 "boundaries land exactly on snapshot boundaries"
             )
-        if checkpoint_dir is None:
-            if resume_from is None:
-                raise ConfigurationError(
-                    "checkpoint_every requires checkpoint_dir (or resume_from)"
-                )
-            checkpoint_dir = resume_from
         if resolved is None:
             resolved = 1
-    elif interrupt_after is not None:
-        raise ConfigurationError(
-            "interrupt_after only applies to checkpointed runs "
-            "(pass checkpoint_every/checkpoint_dir)"
-        )
     if resolved is None and engine == "ensemble":
         simulator = engine_factory(engine, RandomSource.from_seed(seed), trials)
         result = simulator.run(parallel_time, snapshot_every=snapshot_every)

@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.engine.checkpoint import CheckpointInterrupted
-from repro.engine.errors import ConfigurationError, EngineError
-from repro.engine.options import ExecutionOptions
+from repro.engine.errors import ConfigurationError, EngineError, UnsupportedEngineError
 from repro.engine.registry import engine_names
 from repro.experiments.base import ExperimentResult
 from repro.experiments.baseline_comparison import run_baseline_comparison
@@ -46,7 +45,7 @@ from repro.experiments.memory_table import run_memory_table
 from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
 from repro.kernels import availability as kernels_availability
 from repro.scenarios.registry import get_scenario, has_scenario, iter_scenarios, scenario_names
-from repro.scenarios.runner import resolve_preset, run_scenario, run_sweep
+from repro.scenarios.runner import check_execution, resolve_preset, run_scenario, run_sweep
 from repro.scenarios.spec import SweepSpec
 
 __all__ = ["main", "build_parser", "EXPERIMENT_RUNNERS"]
@@ -398,23 +397,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = get_scenario(name)
         try:
             resolve_preset(spec, args.effort)
+            check_execution(
+                spec, engine=args.engine, workers=args.workers, jit=args.jit
+            )
+        except UnsupportedEngineError as exc:
+            if not run_all:
+                return _fail(str(exc))
+            # `all` with an explicit engine skips the scenarios that only
+            # support another engine instead of aborting the sweep.
+            skipped[name] = str(exc)
         except ConfigurationError as exc:
             return _fail(str(exc))
-        if (
-            args.engine is not None
-            and args.engine != "auto"
-            and not spec.supports_engine(args.engine)
-        ):
-            reason = (
-                f"scenario {name!r} supports engine(s) {', '.join(spec.engines)}, "
-                f"got {args.engine!r}"
-            )
-            if run_all:
-                # `all` with an explicit engine skips the scenarios that only
-                # support another engine instead of aborting the sweep.
-                skipped[name] = reason
-            else:
-                return _fail(reason)
 
     for name in selected:
         if name in skipped:
@@ -425,16 +418,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             result = run_scenario(
                 name,
-                options=ExecutionOptions(
-                    effort=args.effort,
-                    engine=args.engine,
-                    workers=args.workers,
-                    jit=args.jit,
-                    checkpoint_every=args.checkpoint_every,
-                    checkpoint_dir=_checkpoint_subdir(args.checkpoint_dir, name),
-                    resume_from=_checkpoint_subdir(args.resume_from, name),
-                    interrupt_after=args.interrupt_after,
-                ),
+                effort=args.effort,
+                engine=args.engine,
+                workers=args.workers,
+                jit=args.jit,
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_dir=_checkpoint_subdir(args.checkpoint_dir, name),
+                resume_from=_checkpoint_subdir(args.resume_from, name),
+                interrupt_after=args.interrupt_after,
             )
         except CheckpointInterrupted as exc:
             return _interrupted(name, exc)
@@ -464,16 +455,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         started = time.time()
         results = run_sweep(
             sweep,
-            options=ExecutionOptions(
-                effort=args.effort,
-                engine=args.engine,
-                workers=args.workers,
-                jit=args.jit,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=_checkpoint_subdir(args.checkpoint_dir, args.scenario),
-                resume_from=_checkpoint_subdir(args.resume_from, args.scenario),
-                interrupt_after=args.interrupt_after,
-            ),
+            effort=args.effort,
+            engine=args.engine,
+            workers=args.workers,
+            jit=args.jit,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=_checkpoint_subdir(args.checkpoint_dir, args.scenario),
+            resume_from=_checkpoint_subdir(args.resume_from, args.scenario),
+            interrupt_after=args.interrupt_after,
         )
     except CheckpointInterrupted as exc:
         return _interrupted(args.scenario, exc)

@@ -29,7 +29,7 @@ from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import ProtocolParameters, empirical_parameters
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.api import Engine
-from repro.engine.parallel import ShardTiming, resolve_workers
+from repro.engine.parallel import ShardTiming
 from repro.engine.registry import choose_engine, engine_info, make_engine
 from repro.engine.rng import RandomSource
 from repro.engine.runner import aggregate_series, run_engine_trials
@@ -223,11 +223,8 @@ def run_estimate_trace(
         raise ValueError(f"trials must be at least 1, got {trials}")
     params = params or empirical_parameters()
     resize_schedule = tuple(resize_schedule)
-    workers = resolve_workers(workers)
     if engine is None or engine == "auto":
-        engine = choose_engine(
-            DynamicSizeCounting(params), trials, n, workers=workers, jit=jit
-        )
+        engine = choose_engine(DynamicSizeCounting(params), trials, n)
 
     per_trial_min: list[list[float]] = []
     per_trial_med: list[list[float]] = []

@@ -20,11 +20,10 @@ dynamic population model:
 * :mod:`repro.scenarios.catalog` — the adversarial scenarios beyond the
   paper's figures.
 
-Execution knobs (engine, workers, jit, checkpointing) bundle into
-:class:`repro.engine.options.ExecutionOptions`, re-exported here.
+Execution settings (effort/preset, engine, workers, jit, checkpointing)
+are keyword arguments of :func:`run_scenario` and :func:`run_sweep`.
 """
 
-from repro.engine.options import ExecutionOptions
 from repro.scenarios.registry import (
     get_scenario,
     has_scenario,
@@ -48,7 +47,6 @@ from repro.scenarios.spec import (
 from repro.scenarios.traces import Trace, bundled_trace, bundled_trace_names
 
 __all__ = [
-    "ExecutionOptions",
     "Phase",
     "ScenarioPoint",
     "ScenarioSpec",

@@ -11,8 +11,11 @@ machinery, and summarises it with the spec's metric extractors.
 :func:`run_sweep` does the same for every combination of a
 :class:`~repro.scenarios.spec.SweepSpec` parameter grid.
 
-All engine/effort validation happens *before* any simulation starts, so a
-bad combination fails in milliseconds with a one-line error instead of a
+Execution settings are plain keyword arguments.  Engine, workers and jit
+are checked by :func:`check_execution`, the checkpoint settings by
+:func:`repro.engine.runner.checkpoint_settings` and the effort by
+:func:`resolve_preset` — all *before* any simulation starts, so a bad
+combination fails in milliseconds with a one-line error instead of a
 mid-run traceback.
 """
 
@@ -25,10 +28,10 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.params import ProtocolParameters
 from repro.engine.errors import ConfigurationError, UnsupportedEngineError
-from repro.engine.options import ExecutionOptions, execution_metadata
+from repro.engine.options import execution_metadata
 from repro.engine.parallel import execute_shards, resolve_workers
 from repro.engine.registry import choose_engine, engine_names
-from repro.engine.runner import manifest_cadence
+from repro.engine.runner import checkpoint_settings
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, SweepSpec
 
@@ -37,7 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - the experiments layer imports this
     # inside the functions below.
     from repro.experiments.base import ExperimentPreset, ExperimentResult
 
-__all__ = ["run_scenario", "run_sweep", "resolve_preset", "resolve_params"]
+__all__ = [
+    "check_execution",
+    "run_scenario",
+    "run_sweep",
+    "resolve_preset",
+    "resolve_params",
+]
 
 
 def _resolve_spec(spec_or_name: ScenarioSpec | str) -> ScenarioSpec:
@@ -90,20 +99,33 @@ def resolve_params(spec: ScenarioSpec, preset: "ExperimentPreset") -> ProtocolPa
     return params
 
 
-def _validate_engine(spec: ScenarioSpec, engine: str | None) -> None:
-    """Reject bad engine requests before any simulation work starts."""
-    if engine is None or engine == "auto":
-        return
-    if engine not in engine_names():
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; available engines: "
-            f"{', '.join(engine_names())} (or 'auto')"
-        )
-    if not spec.supports_engine(engine):
-        raise UnsupportedEngineError(
-            f"scenario {spec.name!r} supports engine(s) "
-            f"{', '.join(spec.engines)}, got {engine!r}"
-        )
+def check_execution(
+    spec: ScenarioSpec, *, engine: str | None, workers: int | str | None, jit: bool
+) -> int | None:
+    """Pre-flight check of the engine, workers and jit settings of a run.
+
+    The one validator behind :func:`run_scenario`, :func:`run_sweep`, the
+    serving layer and the CLI.  ``engine`` must be ``None``, ``"auto"`` or
+    a registered engine the spec supports
+    (:class:`~repro.engine.errors.UnsupportedEngineError` otherwise),
+    ``jit`` a ``bool``; ``workers`` is resolved through
+    :func:`repro.engine.parallel.resolve_workers`, whose result is
+    returned.
+    """
+    if engine is not None and engine != "auto":
+        if engine not in engine_names():
+            raise ConfigurationError(
+                f"unknown engine {engine!r}; available engines: "
+                f"{', '.join(engine_names())} (or 'auto')"
+            )
+        if not spec.supports_engine(engine):
+            raise UnsupportedEngineError(
+                f"scenario {spec.name!r} supports engine(s) "
+                f"{', '.join(spec.engines)}, got {engine!r}"
+            )
+    if not isinstance(jit, bool):
+        raise ConfigurationError(f"jit must be a bool, got {jit!r}")
+    return resolve_workers(workers)
 
 
 def _engine_for_point(
@@ -112,15 +134,12 @@ def _engine_for_point(
     point_trials: int,
     point_n: int,
     params: ProtocolParameters,
-    workers: int | None = None,
 ) -> str:
     if requested is not None and requested != "auto":
         return requested
     if requested is None and spec.engine is not None:
         return spec.engine
-    chosen = choose_engine(
-        spec.protocol_factory(params), point_trials, point_n, workers=workers
-    )
+    chosen = choose_engine(spec.protocol_factory(params), point_trials, point_n)
     if chosen not in spec.engines:
         chosen = spec.engines[0]
     return chosen
@@ -141,7 +160,6 @@ def _subdir(root: Any, label: str) -> str | None:
 def run_scenario(
     spec_or_name: ScenarioSpec | str,
     *,
-    options: ExecutionOptions | None = None,
     effort: str = "quick",
     preset: ExperimentPreset | None = None,
     engine: str | None = None,
@@ -158,13 +176,6 @@ def run_scenario(
     ----------
     spec_or_name:
         A :class:`ScenarioSpec` or the name of a registered scenario.
-    options:
-        A frozen :class:`repro.engine.options.ExecutionOptions` bundling
-        every execution knob below.  Passing ``options`` together with a
-        conflicting legacy keyword raises a
-        :class:`~repro.engine.errors.ConfigurationError`; the legacy
-        keywords remain fully supported and build an ``ExecutionOptions``
-        internally.
     effort:
         Preset effort level (``"quick"`` / ``"default"`` / ``"paper"``);
         ignored when an explicit ``preset`` is passed.
@@ -208,37 +219,18 @@ def run_scenario(
     from repro.experiments.base import ExperimentResult
     from repro.experiments.figures import run_estimate_trace
 
-    opts = ExecutionOptions.merge(
-        options,
-        effort=effort,
-        preset=preset,
-        engine=engine,
-        workers=workers,
-        jit=jit,
+    spec = _resolve_spec(spec_or_name)
+    requested_workers = workers
+    workers = check_execution(spec, engine=engine, workers=workers, jit=jit)
+    checkpointing, checkpoint_every, checkpoint_dir = checkpoint_settings(
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         resume_from=resume_from,
         interrupt_after=interrupt_after,
+        depth=1,
     )
-    effort, preset, engine = opts.effort, opts.preset, opts.engine
-    jit, interrupt_after = opts.jit, opts.interrupt_after
-    checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
-    resume_from = opts.resume_from
-
-    spec = _resolve_spec(spec_or_name)
-    _validate_engine(spec, engine)
-    requested_workers = opts.workers
-    workers = resolve_workers(opts.workers)
     preset = resolve_preset(spec, effort, preset)
     params = resolve_params(spec, preset)
-    checkpointing = opts.checkpointing
-    if checkpointing:
-        if checkpoint_dir is None:
-            checkpoint_dir = resume_from
-        if checkpoint_every is None and resume_from is not None:
-            # Every point shares the cadence, so points that never started
-            # take it from the ones that did.
-            checkpoint_every = manifest_cadence(resume_from, depth=1)
 
     if spec.executor is not None:
         resolved = _engine_for_point(
@@ -283,9 +275,7 @@ def run_scenario(
             phases[point.series_label] = [
                 dict(boundary) for boundary in point.info["phases"]
             ]
-        point_engine = _engine_for_point(
-            spec, engine, point.trials, point.n, params, workers
-        )
+        point_engine = _engine_for_point(spec, engine, point.trials, point.n, params)
         engines_used.append(point_engine)
         trace = run_estimate_trace(
             point.n,
@@ -354,13 +344,12 @@ def _run_sweep_combo(payload: dict[str, Any]) -> "ExperimentResult":
     unpickle it.  The scenario travels by registry name (the spec itself
     may hold non-picklable factories) and is re-resolved in the worker.
     """
-    return run_scenario(payload["scenario"], options=payload["options"])
+    return run_scenario(payload["scenario"], **payload["settings"])
 
 
 def run_sweep(
     sweep: SweepSpec,
     *,
-    options: ExecutionOptions | None = None,
     effort: str = "quick",
     preset: ExperimentPreset | None = None,
     engine: str | None = None,
@@ -373,9 +362,9 @@ def run_sweep(
 ) -> list[tuple[str, ExperimentResult]]:
     """Run every combination of a sweep grid; returns ``(label, result)`` pairs.
 
-    ``options`` bundles the execution knobs exactly as on
-    :func:`run_scenario`: pass either the object or the legacy keywords,
-    not both.
+    The execution settings are the keyword arguments of
+    :func:`run_scenario`, checked once for the whole grid and passed on to
+    every combination.
 
     The whole grid is expanded and validated up front — protocol-parameter
     axes *and* workload points (schedules, population sizes) — so a bad axis
@@ -398,26 +387,16 @@ def run_sweep(
     combinations via their final checkpoints and continues the
     interrupted one mid-run.
     """
-    opts = ExecutionOptions.merge(
-        options,
-        effort=effort,
-        preset=preset,
-        engine=engine,
-        workers=workers,
-        jit=jit,
+    spec = _resolve_spec(sweep.scenario)
+    resolved_workers = check_execution(spec, engine=engine, workers=workers, jit=jit)
+    _, checkpoint_every, checkpoint_dir = checkpoint_settings(
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         resume_from=resume_from,
         interrupt_after=interrupt_after,
+        depth=2,
     )
-    spec = _resolve_spec(sweep.scenario)
-    _validate_engine(spec, opts.engine)
-    resolved_workers = resolve_workers(opts.workers)
-    expanded = sweep.expand(resolve_preset(spec, opts.effort, opts.preset))
-    resume_from, checkpoint_every = opts.resume_from, opts.checkpoint_every
-    checkpoint_dir = resume_from if opts.checkpoint_dir is None else opts.checkpoint_dir
-    if checkpoint_every is None and resume_from is not None:
-        checkpoint_every = manifest_cadence(resume_from, depth=2)
+    expanded = sweep.expand(resolve_preset(spec, effort, preset))
     for _, combo_preset in expanded:
         combo_params = resolve_params(spec, combo_preset)
         if spec.executor is None:
@@ -425,24 +404,28 @@ def run_sweep(
             # and resize schedules for every engine.
             tuple(spec.points(combo_preset, combo_params))
 
-    def combo_options(
-        label: str, combo_preset: ExperimentPreset, **changes: Any
-    ) -> ExecutionOptions:
-        """One combination's options: its preset and checkpoint subdirs."""
-        return opts.replace(
-            preset=combo_preset,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=_subdir(checkpoint_dir, label),
-            resume_from=_subdir(resume_from, label),
-            **changes,
-        )
+    def combo_settings(
+        label: str, combo_preset: ExperimentPreset, combo_workers: int | str | None
+    ) -> dict[str, Any]:
+        """One combination's keywords: its preset and checkpoint subdirs."""
+        return {
+            "effort": effort,
+            "preset": combo_preset,
+            "engine": engine,
+            "workers": combo_workers,
+            "jit": jit,
+            "checkpoint_every": checkpoint_every,
+            "checkpoint_dir": _subdir(checkpoint_dir, label),
+            "resume_from": _subdir(resume_from, label),
+            "interrupt_after": interrupt_after,
+        }
 
     if resolved_workers is None or len(expanded) == 1:
         # Serial path (or a single combination, where trial-level sharding
         # inside run_scenario is the better use of the pool).
         results = []
         for label, combo_preset in expanded:
-            result = run_scenario(spec, options=combo_options(label, combo_preset))
+            result = run_scenario(spec, **combo_settings(label, combo_preset, workers))
             result.metadata["sweep"] = label
             results.append((label, result))
         return results
@@ -452,7 +435,7 @@ def run_sweep(
             "scenario": sweep.scenario,
             # Combinations are the unit of parallelism; each runs serially
             # inside its worker so results match workers=1 bit for bit.
-            "options": combo_options(label, combo_preset, workers=None),
+            "settings": combo_settings(label, combo_preset, None),
         }
         for label, combo_preset in expanded
     ]

@@ -15,7 +15,7 @@ Request lifecycle::
                   fetches of the same run are byte-identical
 
 Everything that can be rejected is rejected *before* admission — unknown
-scenario, bad effort, unsupported engine, malformed workers/sweep — with
+scenario, bad effort, unsupported engine, malformed workers/jit/sweep — with
 :class:`~repro.engine.errors.ConfigurationError`, so a bad request costs
 milliseconds, never a simulation.
 """
@@ -29,13 +29,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.engine.errors import ConfigurationError, UnsupportedEngineError
-from repro.engine.parallel import resolve_workers
-from repro.engine.registry import engine_capabilities, engine_names
+from repro.engine.registry import engine_capabilities
+from repro.engine.runner import checkpoint_settings
 from repro.kernels import availability as kernels_availability
 from repro.scenarios.listing import scenario_listing
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import resolve_preset, run_scenario, run_sweep
+from repro.scenarios.runner import (
+    check_execution,
+    resolve_params,
+    resolve_preset,
+    run_scenario,
+    run_sweep,
+)
 from repro.scenarios.spec import SweepSpec, apply_axis_overrides
 from repro.serve.availability import availability as serve_availability
 from repro.serve.cache import CacheEntry, ResultCache
@@ -43,7 +48,6 @@ from repro.serve.jobs import JobQueue, JobState
 from repro.serve.keys import canonical_cache_key
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (layering)
-    from repro.engine.options import ExecutionOptions
     from repro.experiments.base import ExperimentPreset, ExperimentResult
     from repro.scenarios.spec import ScenarioSpec
 
@@ -79,8 +83,11 @@ class RunRequest:
     effort:
         Preset effort level (``"quick"`` / ``"default"`` / ``"paper"``).
     engine / workers / jit:
-        Execution knobs, exactly as :func:`repro.scenarios.runner.run_scenario`
-        takes them.
+        Execution settings, exactly as
+        :func:`repro.scenarios.runner.run_scenario` takes them and checked
+        by :func:`repro.scenarios.runner.check_execution` on submit.
+        Checkpointing is the service's own setting (see
+        ``SimulationService.checkpoint_every``), never the request's.
     seed:
         Root-seed override (defaults to the preset's pinned seed).
     overrides:
@@ -89,13 +96,6 @@ class RunRequest:
     sweep:
         When set, the run is a :func:`run_sweep` over this axis mapping
         instead of a single :func:`run_scenario`.
-    options:
-        Alternatively, bundle effort/engine/workers/jit into one
-        :class:`~repro.engine.options.ExecutionOptions`; it is flattened
-        onto the fields above at construction time (passing both raises),
-        so two requests describing the same run always compare equal.
-        Preset and checkpointing fields are rejected — the service manages
-        checkpointing itself (see ``SimulationService.checkpoint_every``).
     """
 
     scenario: str
@@ -106,45 +106,10 @@ class RunRequest:
     seed: int | None = None
     overrides: Mapping[str, Any] | None = None
     sweep: Mapping[str, Sequence[Any]] | None = None
-    options: "ExecutionOptions | None" = None
-
-    def __post_init__(self) -> None:
-        if self.options is None:
-            return
-        opts = self.options
-        if opts.preset is not None or opts.checkpointing or opts.interrupt_after is not None:
-            raise ConfigurationError(
-                "RunRequest options must not carry preset or checkpointing "
-                "fields; use effort plus the service's own checkpoint_every"
-            )
-        conflicts = [
-            name
-            for name, default in (
-                ("effort", "quick"),
-                ("engine", None),
-                ("workers", None),
-                ("jit", False),
-            )
-            if getattr(self, name) != default
-        ]
-        if conflicts:
-            raise ConfigurationError(
-                "pass execution settings either via options=ExecutionOptions(...) "
-                "or as request fields, not both; conflicting field(s): "
-                + ", ".join(sorted(conflicts))
-            )
-        object.__setattr__(self, "effort", opts.effort)
-        object.__setattr__(self, "engine", opts.engine)
-        object.__setattr__(self, "workers", opts.workers)
-        object.__setattr__(self, "jit", opts.jit)
-        object.__setattr__(self, "options", None)
 
     def summary(self) -> dict[str, Any]:
         """JSON-encodable echo stored on the job and shown by status APIs."""
         payload = dataclasses.asdict(self)
-        # Always None after __post_init__ flattening; dropped so the echo
-        # keeps its pre-options shape byte for byte.
-        payload.pop("options")
         payload["overrides"] = dict(self.overrides) if self.overrides else None
         payload["sweep"] = (
             {key: list(values) for key, values in self.sweep.items()}
@@ -152,22 +117,6 @@ class RunRequest:
             else None
         )
         return payload
-
-
-def _validate_engine_request(spec: "ScenarioSpec", engine: str | None) -> None:
-    """Mirror of the runner's pre-flight engine validation (public pieces)."""
-    if engine is None or engine == "auto":
-        return
-    if engine not in engine_names():
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; available engines: "
-            f"{', '.join(engine_names())} (or 'auto')"
-        )
-    if not spec.supports_engine(engine):
-        raise UnsupportedEngineError(
-            f"scenario {spec.name!r} supports engine(s) "
-            f"{', '.join(spec.engines)}, got {engine!r}"
-        )
 
 
 class SimulationService:
@@ -194,6 +143,14 @@ class SimulationService:
         #: cache key — checkpointing changes durability, never results.
         self.checkpoint_every = checkpoint_every
         self._checkpoint_root = Path(cache_dir) / "checkpoints"
+        # Checked once here rather than failing every job in its worker.
+        checkpoint_settings(
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=None,
+            resume_from=None,
+            interrupt_after=None,
+            depth=1,
+        )
         self._run_scenario = scenario_runner
         self._run_sweep = sweep_runner
         # Serialises the check-cache-then-enqueue step so two identical
@@ -211,8 +168,9 @@ class SimulationService:
         malformed — nothing is enqueued and no simulation starts.
         """
         spec = get_scenario(request.scenario)
-        _validate_engine_request(spec, request.engine)
-        resolve_workers(request.workers)  # rejects bad values early
+        check_execution(
+            spec, engine=request.engine, workers=request.workers, jit=request.jit
+        )
         preset = resolve_preset(spec, request.effort)
         if request.overrides:
             preset = apply_axis_overrides(preset, dict(request.overrides))
@@ -224,8 +182,6 @@ class SimulationService:
         # Expanding the points validates population sizes, trial counts and
         # resize schedules for every engine before admission.
         if spec.executor is None and sweep is None:
-            from repro.scenarios.runner import resolve_params
-
             tuple(spec.points(preset, resolve_params(spec, preset)))
         key = canonical_cache_key(
             spec,

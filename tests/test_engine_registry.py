@@ -502,15 +502,3 @@ class TestChooseEngineCountsTier:
     def test_counts_tier_for_toolbox_protocols(self):
         assert choose_engine(MaxEpidemic(), trials=4, n=2_000_000) == "counts"
         assert choose_engine(JuntaElection(), trials=1, n=2_000_000) == "counts"
-
-    def test_sharded_choice_matches_serial_choice(self):
-        """Per-shard decision equivalence: the engine chosen for a sharded
-        run (workers set) equals the serial per-point choice on every tier,
-        counts included — its trigger depends only on the protocol and n,
-        which every shard of a point shares."""
-        protocol = DynamicSizeCounting()
-        grid = [(1, 50), (1, 10_000), (8, 10_000), (1, 2_000_000), (8, 2_000_000)]
-        for trials, n in grid:
-            serial = choose_engine(protocol, trials=trials, n=n)
-            for workers in (1, 2, 4):
-                assert choose_engine(protocol, trials=trials, n=n, workers=workers) == serial

@@ -1,9 +1,8 @@
-"""The unified ExecutionOptions API.
+"""Execution settings: keyword arguments, each checked in one place.
 
-One frozen bundle, validated in one place, accepted by every scenario-level
-entry point (`run_scenario`, `run_sweep`, serve's `RunRequest`), with the
-legacy keyword arguments still working — and passing both sides raising a
-clear error instead of silently preferring one.
+Every malformed setting is rejected by all three entry points —
+``run_scenario``, ``run_sweep`` and the serving layer — before any engine
+is built, and the service enqueues no job for it.
 """
 
 from __future__ import annotations
@@ -11,11 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.errors import ConfigurationError
-from repro.engine.options import ExecutionOptions, execution_metadata, jit_status
+from repro.engine.options import execution_metadata, jit_status
 from repro.experiments.base import ExperimentPreset
 from repro.scenarios.runner import run_scenario, run_sweep
 from repro.scenarios.spec import SweepSpec
-from repro.serve.service import RunRequest
+from repro.serve.service import RunRequest, SimulationService
 
 
 def tiny_preset(**overrides) -> ExperimentPreset:
@@ -26,122 +25,74 @@ def tiny_preset(**overrides) -> ExperimentPreset:
     return ExperimentPreset(**data)
 
 
-class TestValidation:
-    def test_defaults_valid(self):
-        opts = ExecutionOptions()
-        assert opts.effort == "quick"
-        assert not opts.checkpointing
+@pytest.fixture
+def no_engines(monkeypatch):
+    """Fail the test if any engine is built (estimate traces or bespoke)."""
 
-    def test_rejects_bad_values(self):
+    def built(*args, **kwargs):
+        raise AssertionError("an engine was built for a malformed request")
+
+    monkeypatch.setattr("repro.experiments.figures.make_engine", built)
+    monkeypatch.setattr("repro.experiments.memory_table.Simulator", built)
+
+
+def _run_scenario(scenario, settings):
+    run_scenario(scenario, preset=tiny_preset(), **settings)
+
+
+def _run_sweep(scenario, settings):
+    sweep = SweepSpec.from_mapping(scenario, {"n": (60, 90)})
+    run_sweep(sweep, preset=tiny_preset(), **settings)
+
+
+def _serve(scenario, settings):
+    """Request fields go on the RunRequest, checkpointing on the service."""
+    fields = {k: v for k, v in settings.items() if k in ("engine", "workers", "jit")}
+    service = SimulationService("cache", checkpoint_every=settings.get("checkpoint_every"))
+    try:
+        request = RunRequest(scenario=scenario, overrides={"n": 80}, **fields)
         with pytest.raises(ConfigurationError):
-            ExecutionOptions(effort="")
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(engine="warp_drive")
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(workers=0)
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(workers=True)
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(jit="yes")
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(checkpoint_every=0, checkpoint_dir="x")
-        # interrupt_after is a fault-injection knob *on* checkpointing.
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(interrupt_after=1)
-
-    def test_accepts_auto_spellings(self):
-        opts = ExecutionOptions(engine="auto", workers="auto")
-        assert opts.engine == "auto"
-        assert opts.workers == "auto"
-
-    def test_replace_revalidates(self):
-        opts = ExecutionOptions(workers=2)
-        assert opts.replace(workers=4).workers == 4
-        with pytest.raises(ConfigurationError):
-            opts.replace(workers=-1)
+            service.resolve(request)
+        try:
+            service.submit(request)
+        finally:
+            assert all(count == 0 for count in service.queue.depth().values())
+    finally:
+        service.close()
 
 
-class TestMerge:
-    def test_legacy_only_builds_options(self):
-        opts = ExecutionOptions.merge(None, effort="default", workers=2)
-        assert opts == ExecutionOptions(effort="default", workers=2)
+ENTRY_POINTS = {"run_scenario": _run_scenario, "run_sweep": _run_sweep, "serve": _serve}
 
-    def test_options_pass_through(self):
-        opts = ExecutionOptions(engine="batched")
-        assert ExecutionOptions.merge(opts, effort="quick", engine=None) is opts
+MALFORMED = {
+    "unknown-engine": ("fig2", {"engine": "warp_drive"}),
+    "unsupported-engine": ("memory", {"engine": "ensemble"}),
+    "workers-zero": ("fig2", {"workers": 0}),
+    "workers-bool": ("fig2", {"workers": True}),
+    "jit-not-bool": ("fig2", {"jit": "yes"}),
+    "checkpoint-every-zero": ("fig2", {"checkpoint_every": 0, "checkpoint_dir": "ckpt"}),
+    "interrupt-without-checkpointing": ("fig2", {"interrupt_after": 1}),
+    "bespoke-interrupt-without-checkpointing": ("memory", {"interrupt_after": 1}),
+}
 
-    def test_both_sides_conflict(self):
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
-            ExecutionOptions.merge(ExecutionOptions(engine="batched"), engine="counts")
-        with pytest.raises(ConfigurationError, match="effort"):
-            ExecutionOptions.merge(ExecutionOptions(), effort="paper")
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown execution option"):
-            ExecutionOptions.merge(None, worker_count=3)
-
-
-class TestRunScenario:
-    def test_options_equivalent_to_legacy(self):
-        preset = tiny_preset()
-        legacy = run_scenario("oscillate", preset=preset, engine="batched")
-        bundled = run_scenario(
-            "oscillate", options=ExecutionOptions(preset=preset, engine="batched")
-        )
-        assert bundled.rows == legacy.rows
-        assert bundled.metadata["execution"] == legacy.metadata["execution"]
-
-    def test_both_sides_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
-            run_scenario(
-                "oscillate",
-                options=ExecutionOptions(preset=tiny_preset()),
-                engine="batched",
-            )
+# The service has no interrupt_after setting: it checkpoints on its own
+# cadence and never injects faults.
+CASES = [
+    pytest.param(entry, case, id=f"{entry}-{case}")
+    for entry in ENTRY_POINTS
+    for case in MALFORMED
+    if not (entry == "serve" and "interrupt" in case)
+]
 
 
-class TestRunSweep:
-    def test_options_accepted(self):
-        sweep = SweepSpec.from_mapping("oscillate", {"n": (60, 90)})
-        results = run_sweep(
-            sweep, options=ExecutionOptions(preset=tiny_preset(), engine="batched")
-        )
-        assert [label for label, _ in results] == ["n=60", "n=90"]
-
-    def test_both_sides_rejected(self):
-        sweep = SweepSpec.from_mapping("oscillate", {"n": (60,)})
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
-            run_sweep(sweep, options=ExecutionOptions(), effort="paper")
-
-
-class TestRunRequest:
-    def test_options_flatten_to_fields(self):
-        via_options = RunRequest(
-            scenario="fig2",
-            options=ExecutionOptions(effort="default", engine="batched", workers=2),
-        )
-        via_fields = RunRequest(
-            scenario="fig2", effort="default", engine="batched", workers=2
-        )
-        # Equal requests -> equal summaries -> one cache key downstream.
-        assert via_options == via_fields
-        assert via_options.summary() == via_fields.summary()
-        assert "options" not in via_options.summary()
-
-    def test_both_sides_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting field"):
-            RunRequest(
-                scenario="fig2",
-                engine="counts",
-                options=ExecutionOptions(engine="batched"),
-            )
-
-    def test_checkpoint_fields_rejected(self):
-        with pytest.raises(ConfigurationError, match="checkpointing"):
-            RunRequest(
-                scenario="fig2",
-                options=ExecutionOptions(checkpoint_every=10, checkpoint_dir="x"),
-            )
+@pytest.mark.parametrize("entry,case", CASES)
+def test_malformed_setting_rejected_before_any_engine(
+    tmp_path, monkeypatch, no_engines, entry, case
+):
+    monkeypatch.chdir(tmp_path)
+    scenario, settings = MALFORMED[case]
+    with pytest.raises(ConfigurationError):
+        ENTRY_POINTS[entry](scenario, settings)
+    assert not (tmp_path / "ckpt").exists()
 
 
 class TestMetadataHelpers:
@@ -170,9 +121,3 @@ class TestMetadataHelpers:
         assert jit_status(False) == "off"
         # True resolves to "compiled" or a fallback reason, never "off".
         assert jit_status(True) != "off"
-
-
-def test_scenarios_reexports_options():
-    from repro.scenarios import ExecutionOptions as reexported
-
-    assert reexported is ExecutionOptions

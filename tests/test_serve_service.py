@@ -111,6 +111,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             service.submit(request(workers="turbo"))
 
+    def test_non_bool_jit(self, tmp_path):
+        # jit="yes" and jit=1 would share jit=True's cache key; they must be
+        # rejected on submit, not admitted and failed in the worker.
+        service, recorder = make_service(tmp_path)
+        for jit in ("yes", 1):
+            with pytest.raises(ConfigurationError, match="jit"):
+                service.resolve(request(jit=jit))
+            with pytest.raises(ConfigurationError, match="jit"):
+                service.submit(request(jit=jit))
+        assert all(count == 0 for count in service.queue.depth().values())
+        assert recorder.calls == []
+
     def test_bad_override_values(self, tmp_path):
         service, _ = make_service(tmp_path)
         with pytest.raises(ConfigurationError):
