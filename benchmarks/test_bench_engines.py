@@ -209,9 +209,10 @@ def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
     # never fail the test suite.
     assert all(p["ensemble_seconds"] > 0 for p in per_point.values())
 
-    # Measured margins: >= 5x asserted at 11-17x on the trial-loop-bound
-    # points; the widest point asserted at 1.2x, measured ~2.5x; the whole
-    # sweep asserted at 2x, measured ~4.5x.
+    # Measured margins at quick effort on a 2-vCPU x86_64 Xeon VM (Python
+    # 3.11, NumPy 2.4): >= 5x asserted at 7.4-9.3x on the trial-loop-bound
+    # points; the widest point asserted at 1.2x, measured 1.3-1.6x; the
+    # whole sweep asserted at 2x, measured 2.5-3.4x.
     if os.environ.get("REPRO_BENCH_ASSERT"):
         assert loop_bound_speedup >= 5.0, per_point
         assert per_point[10_000]["speedup"] >= 1.2, per_point

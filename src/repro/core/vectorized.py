@@ -7,12 +7,16 @@ plugs into :class:`repro.engine.batch_engine.BatchedSimulator`: each parallel
 time step draws ``n`` ordered interaction pairs and applies the transition
 to all of them with responder states read at the start of the batch.
 
-The vectorised transition mirrors :class:`repro.core.dynamic_counting.
-DynamicSizeCounting` line by line (the comments reference the same Algorithm
-2 line numbers).  It is an approximation of the sequential scheduler — see
-the module docstring of :mod:`repro.engine.batch_engine` for the exact
-semantics and ``tests/test_engine_equivalence.py`` for the statistical
-cross-validation against the exact engine.
+Both batched kernels — :meth:`VectorizedDynamicCounting.interact_batch` for
+one trial and :meth:`VectorizedDynamicCounting.interact_ensemble` for stacked
+trials — mirror :class:`repro.core.dynamic_counting.DynamicSizeCounting` line
+by line (the comments reference the same Algorithm 2 line numbers) in the
+same compressed-lane form: the common branch runs full-width in place, the
+rare ones only on the lanes that take them.  This approximates the
+sequential scheduler — see the module docstring of
+:mod:`repro.engine.batch_engine` for the exact semantics and
+``tests/test_engine_equivalence.py`` for the statistical cross-validation
+against the exact engine.
 
 The same class also implements ``interact_one``, the exact single-pair
 transition, so it runs unchanged on the exact
@@ -109,76 +113,6 @@ class VectorizedDynamicCounting(VectorizedProtocol):
 
     # ------------------------------------------------------------ interaction
 
-    def _transition(
-        self,
-        u_max: np.ndarray,
-        u_last: np.ndarray,
-        u_time: np.ndarray,
-        u_inter: np.ndarray,
-        v_max: np.ndarray,
-        v_last: np.ndarray,
-        v_time: np.ndarray,
-        rng: RandomSource,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Algorithm 2 on gathered initiator/responder state of any shape.
-
-        Shared by :meth:`interact_batch` (1-D batches) and
-        :meth:`interact_ensemble` (2-D ``(trials, batch)`` stacks) — every
-        operation is element-wise apart from the masked GRV draws, which
-        flatten through boolean indexing.  Returns the new initiator state
-        plus the reset mask (for the tick counters).
-        """
-        params = self.params
-        tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3
-        over = params.overestimation
-
-        u_scale = np.maximum(u_max, u_last)
-        v_scale = np.maximum(v_max, v_last)
-        u_exchange = u_time >= tau2 * u_scale
-        u_reset_phase = u_time < tau3 * u_scale
-        v_exchange = v_time >= tau2 * v_scale
-        v_reset_phase = v_time < tau3 * v_scale
-
-        # Lines 2-6: wrap-around / reset->exchange / hold->exchange resets.
-        reset_mask = (
-            (u_time <= 0)
-            | (u_reset_phase & v_exchange)
-            | (~u_exchange & (u_max != v_max))
-        )
-        fresh = np.zeros(u_max.shape, dtype=np.float64)
-        fresh[reset_mask] = over * self._sample_grv_max(rng, int(reset_mask.sum()))
-        new_time = np.where(reset_mask, tau1 * np.maximum(u_max, fresh), u_time)
-        new_last = np.where(reset_mask, u_max, u_last)
-        new_max = np.where(reset_mask, fresh, u_max)
-        new_inter = np.where(reset_mask, 0, u_inter)
-
-        # Lines 7-10: backup GRV generation.
-        backup_due = new_inter > params.tau_prime * np.maximum(new_max, new_last)
-        backup_raw = np.zeros(u_max.shape, dtype=np.float64)
-        backup_raw[backup_due] = self._sample_grv_max(rng, int(backup_due.sum()))
-        new_inter = np.where(backup_due, 0, new_inter)
-        adopt_backup = backup_due & (backup_raw > new_max)
-        boosted = over * backup_raw
-        new_time = np.where(adopt_backup, tau1 * boosted, new_time)
-        new_max = np.where(adopt_backup, boosted, new_max)
-
-        # Lines 11-12: adopt a larger maximum within the exchange phase.
-        u_exchange_now = new_time >= tau2 * np.maximum(new_max, new_last)
-        adopt = u_exchange_now & v_exchange & (new_max < v_max)
-        new_time = np.where(adopt, tau1 * v_max, new_time)
-        new_max = np.where(adopt, v_max, new_max)
-        new_last = np.where(adopt, v_last, new_last)
-
-        # Lines 13-14: exchange the trailing maximum.
-        u_exchange_final = new_time >= tau2 * np.maximum(new_max, new_last)
-        share_last = (new_max == v_max) & ~(u_exchange_final & v_reset_phase)
-        new_last = np.where(share_last, np.maximum(new_last, v_last), new_last)
-
-        # Line 15: CHVP countdown plus the interaction counter.
-        new_time = np.maximum(new_time, v_time) - 1
-        new_inter = new_inter + 1
-        return new_max, new_last, new_time, new_inter, reset_mask
-
     def interact_batch(
         self,
         arrays: dict[str, np.ndarray],
@@ -186,28 +120,98 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         responders: np.ndarray,
         rng: RandomSource,
     ) -> None:
-        # Snapshot of both participants at the start of the batch (fancy
-        # indexing already copies, so the gathers need no extra .copy()).
-        new_max, new_last, new_time, new_inter, reset_mask = self._transition(
-            arrays["max"][initiators],
-            arrays["last_max"][initiators],
-            arrays["time"][initiators],
-            arrays["interactions"][initiators],
-            arrays["max"][responders],
-            arrays["last_max"][responders],
-            arrays["time"][responders],
-            rng,
-        )
+        """Algorithm 2 on one batch of pairs, in the compressed-lane form.
+
+        The initiator copies are updated in place; the rare branches touch
+        only their ``np.flatnonzero`` lanes.  The scale ``max(max,
+        lastMax)``, from which every threshold is derived, is patched where
+        resets and backups change it.  GRVs are drawn for resets first,
+        then for backups.
+        """
+        params = self.params
+        tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3
+        over = params.overestimation
+
+        # Snapshot of both participants at the start of the batch.
+        u_max = np.take(arrays["max"], initiators)
+        u_last = np.take(arrays["last_max"], initiators)
+        u_time = np.take(arrays["time"], initiators)
+        u_inter = np.take(arrays["interactions"], initiators)
+        v_max = np.take(arrays["max"], responders)
+        v_last = np.take(arrays["last_max"], responders)
+        v_time = np.take(arrays["time"], responders)
+
+        v_scale = np.maximum(v_max, v_last)
+        v_exchange = v_time >= tau2 * v_scale
+        np.multiply(v_scale, tau3, out=v_scale)
+        v_reset_phase = v_time < v_scale
+
+        # Lines 2-6: wrap-around / reset->exchange / hold->exchange resets.
+        scale = np.maximum(u_max, u_last)
+        threshold = np.multiply(scale, tau3)
+        reset = u_time < threshold
+        reset &= v_exchange
+        np.multiply(scale, tau2, out=threshold)
+        holding = u_time < threshold
+        holding &= u_max != v_max
+        reset |= holding
+        reset |= u_time <= 0
+        reset_lanes = np.flatnonzero(reset)
+        if reset_lanes.size:
+            fresh = over * self._sample_grv_max(rng, reset_lanes.size)
+            old_max = u_max[reset_lanes]
+            scale[reset_lanes] = peak = np.maximum(old_max, fresh)
+            u_time[reset_lanes] = tau1 * peak
+            u_last[reset_lanes] = old_max
+            u_max[reset_lanes] = fresh
+            u_inter[reset_lanes] = 0
+
+        # Lines 7-10: backup GRV generation.
+        np.multiply(scale, params.tau_prime, out=threshold)
+        backup_lanes = np.flatnonzero(u_inter > threshold)
+        if backup_lanes.size:
+            backup = self._sample_grv_max(rng, backup_lanes.size)
+            u_inter[backup_lanes] = 0
+            adopt_backup = backup > u_max[backup_lanes]
+            boosted_lanes = backup_lanes[adopt_backup]
+            u_max[boosted_lanes] = boosted = over * backup[adopt_backup]
+            u_time[boosted_lanes] = tau1 * boosted
+            scale[boosted_lanes] = np.maximum(boosted, u_last[boosted_lanes])
+
+        # Lines 11-12: adopt a larger maximum within the exchange phase.
+        # `exchange` needs no recheck at these lanes: their responder is in
+        # the exchange phase, hence not in its reset phase (tau2 > tau3),
+        # and the share test below only reads `exchange & v_reset_phase`.
+        exchange = u_time >= np.multiply(scale, tau2, out=threshold)
+        adopt = exchange & v_exchange
+        adopt &= u_max < v_max
+        adopt_lanes = np.flatnonzero(adopt)
+        if adopt_lanes.size:
+            u_max[adopt_lanes] = adopted = v_max[adopt_lanes]
+            u_last[adopt_lanes] = v_last[adopt_lanes]
+            u_time[adopt_lanes] = tau1 * adopted
+
+        # Lines 13-14: exchange the trailing maximum (the common branch).
+        share = u_max == v_max
+        exchange &= v_reset_phase
+        np.logical_not(exchange, out=exchange)
+        share &= exchange
+        np.maximum(u_last, v_last, out=u_last, where=share)
+
+        # Line 15: CHVP countdown plus the interaction counter.
+        np.maximum(u_time, v_time, out=u_time)
+        u_time -= 1.0
+        u_inter += 1
 
         # Write back; duplicate initiators within one batch resolve to the
-        # last interaction (an accepted artefact of the batched engine).
-        arrays["max"][initiators] = new_max
-        arrays["last_max"][initiators] = new_last
-        arrays["time"][initiators] = new_time
-        arrays["interactions"][initiators] = new_inter
-        # Count effective resets: duplicate initiators within one batch
-        # resolve to a single surviving state, so they are one reset.
-        np.add.at(arrays["resets"], np.unique(initiators[reset_mask]), 1)
+        # last interaction (an accepted artefact of the batched engine), so
+        # they also count as one reset.
+        arrays["max"][initiators] = u_max
+        arrays["last_max"][initiators] = u_last
+        arrays["time"][initiators] = u_time
+        arrays["interactions"][initiators] = u_inter
+        if reset_lanes.size:
+            arrays["resets"][np.unique(initiators[reset_lanes])] += 1
 
     #: Ensemble state is held in narrow planes: with integer-valued protocol
     #: constants (the paper's presets) every ``max`` / ``lastMax`` / ``time``
@@ -233,25 +237,16 @@ class VectorizedDynamicCounting(VectorizedProtocol):
 
         ``arrays`` holds ``(trials, n)`` stacks and the index matrices are
         ``(trials, batch)``; row ``t`` follows exactly the
-        :meth:`interact_batch` semantics within trial ``t``.  The kernel is
-        tuned for the stacked hot loop rather than sharing
-        :meth:`_transition`:
-
-        * flat-coordinate gathers/scatters (``trial * n + slot``) instead
-          of broadcast 2-D fancy indexing;
-        * the rare branches — resets, backup GRVs, maximum adoption — are
-          applied on compressed lane indices and the phase threshold
-          ``tau2 * scale`` is patched at those lanes instead of being
-          recomputed full-width, so in the converged regime they cost next
-          to nothing;
-        * fresh GRV maxima come from the one-uniform-per-sample inverse
-          CDF (:meth:`repro.engine.rng.RandomSource.geometric_max_array`)
-          rather than ``k`` geometric draws per resetting agent.
-
-        Same distribution as :meth:`interact_batch` everywhere, but a
-        different slice of the random stream (see
-        ``tests/test_ensemble_engine.py`` for the statistical
-        cross-validation).
+        :meth:`interact_batch` semantics within trial ``t``.  The kernel has
+        the same compressed-lane form as :meth:`interact_batch` and differs
+        only in flat coordinates (``trial * n + slot``), the narrow
+        :attr:`ensemble_state_dtypes` planes, a patched ``tau2 * scale``
+        threshold in place of the scale, and the one-uniform-per-sample
+        inverse-CDF GRV draw
+        (:meth:`repro.engine.rng.RandomSource.geometric_max_array`), so it
+        has the same distribution but consumes a different slice of the
+        random stream (see ``tests/test_ensemble_engine.py`` for the
+        statistical cross-validation).
         """
         params = self.params
         tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3

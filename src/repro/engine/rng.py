@@ -258,8 +258,11 @@ class RandomSource:
     def ordered_pairs(self, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised version of :meth:`ordered_pair` for batched engines.
 
-        Returns two arrays ``(initiators, responders)`` of length ``count``
-        with element-wise distinct entries drawn uniformly at random.
+        Returns two int64 arrays ``(initiators, responders)`` of length
+        ``count`` with element-wise distinct entries drawn uniformly at
+        random.  The responder is drawn from the ``n - 1`` other agents and
+        shifted past the initiator by the branchless skip
+        ``responders += responders >= initiators``.
         """
         if n < 2:
             raise ValueError(f"need at least two agents, got {n}")
@@ -267,7 +270,7 @@ class RandomSource:
             raise ValueError(f"count must be non-negative, got {count}")
         initiators = self.generator.integers(0, n, size=count)
         responders = self.generator.integers(0, n - 1, size=count)
-        responders = np.where(responders >= initiators, responders + 1, responders)
+        responders += responders >= initiators
         return initiators, responders
 
     def ordered_pair_matrix(
