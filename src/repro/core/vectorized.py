@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.grv import grv_maximum
 from repro.core.params import ProtocolParameters, empirical_parameters
-from repro.engine.batch_engine import VectorizedProtocol, flat_state_view
+from repro.engine.batch_engine import VectorizedProtocol, flat_lanes
 from repro.engine.rng import RandomSource
 
 __all__ = ["VectorizedDynamicCounting"]
@@ -239,7 +239,8 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         ``(trials, batch)``; row ``t`` follows exactly the
         :meth:`interact_batch` semantics within trial ``t``.  The kernel has
         the same compressed-lane form as :meth:`interact_batch` and differs
-        only in flat coordinates (``trial * n + slot``), the narrow
+        only in flat coordinates (``trial * n + slot``, from
+        :func:`~repro.engine.batch_engine.flat_lanes`), the narrow
         :attr:`ensemble_state_dtypes` planes, a patched ``tau2 * scale``
         threshold in place of the scale, and the one-uniform-per-sample
         inverse-CDF GRV draw
@@ -253,14 +254,11 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         over = params.overestimation
         grv_k = params.grv_samples
 
-        trials, n = arrays["max"].shape
-        offsets = (np.arange(trials, dtype=initiators.dtype) * n)[:, None]
-        flat_u = np.add(initiators, offsets).ravel()
-        flat_v = np.add(responders, offsets).ravel()
-        max_flat = flat_state_view(arrays["max"])
-        last_flat = flat_state_view(arrays["last_max"])
-        time_flat = flat_state_view(arrays["time"])
-        inter_flat = flat_state_view(arrays["interactions"])
+        flat, flat_u, flat_v = flat_lanes(arrays, initiators, responders)
+        max_flat = flat["max"]
+        last_flat = flat["last_max"]
+        time_flat = flat["time"]
+        inter_flat = flat["interactions"]
         dtype = max_flat.dtype
 
         # Snapshot of both participants at the start of the sub-batch.
@@ -358,9 +356,9 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         # a flag plane.
         if reset_lanes.size:
             slots = flat_u[reset_lanes]
-            resets_flat = flat_state_view(arrays["resets"])
+            resets_flat = flat["resets"]
             if slots.size * 8 < resets_flat.size:
-                np.add.at(resets_flat, np.unique(slots), 1)
+                resets_flat[np.unique(slots)] += 1
             else:
                 flags = np.zeros(resets_flat.size, dtype=bool)
                 flags[slots] = True

@@ -45,6 +45,7 @@ __all__ = [
     "BatchSnapshot",
     "BatchedRunResult",
     "BatchedSimulator",
+    "flat_lanes",
     "flat_state_view",
 ]
 
@@ -52,7 +53,7 @@ __all__ = [
 def flat_state_view(arr: np.ndarray) -> np.ndarray:
     """Flat *view* of a stacked ``(trials, n)`` state array.
 
-    The ensemble fast paths index the stacked state through flat
+    The ensemble transitions index the stacked state through flat
     coordinates (``trial * n + slot``), which is substantially faster than
     broadcast 2-D fancy indexing — but only safe on a view: a silent copy
     would discard every write.  The ensemble engine always keeps its state
@@ -64,6 +65,23 @@ def flat_state_view(arr: np.ndarray) -> np.ndarray:
             "got a non-contiguous array (pass np.ascontiguousarray data)"
         )
     return arr.reshape(-1)
+
+
+def flat_lanes(
+    arrays: dict[str, np.ndarray], initiators: np.ndarray, responders: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Flat views and flat lanes of one stacked ``(trials, batch)`` sub-batch.
+
+    Returns the :func:`flat_state_view` of every ``(trials, n)`` plane and
+    the index matrices moved to flat coordinates (``trial * n + slot``) and
+    ravelled row-major, so each row keeps its batch order and only touches
+    its own slots.  The ensemble engine picks int32 indices only when
+    ``trials * n < 2**31``, so the offsets cannot overflow.
+    """
+    flat = {key: flat_state_view(arr) for key, arr in arrays.items()}
+    trials, n = next(iter(arrays.values())).shape
+    offsets = np.arange(trials, dtype=initiators.dtype)[:, None] * n
+    return flat, np.add(initiators, offsets).ravel(), np.add(responders, offsets).ravel()
 
 
 class VectorizedProtocol(abc.ABC):
@@ -111,6 +129,11 @@ class VectorizedProtocol(abc.ABC):
         Responder states are read from the arrays as they are at call time
         (start of the batch); initiator writes may overlap, in which case
         later interactions of the batch win.
+
+        Implementations may read and write only the slots the index arrays
+        name and must not assume the planes have length ``n``: the default
+        :meth:`interact_ensemble` calls this method on flat views of a whole
+        ``(trials, n)`` stack.
         """
 
     def interact_one(
@@ -147,16 +170,15 @@ class VectorizedProtocol(abc.ABC):
         matrices: row ``t`` describes the batch of trial ``t``, with the
         same within-batch semantics as :meth:`interact_batch`.
 
-        The default implementation applies :meth:`interact_batch` row by
-        row over views of the stacked arrays, so every existing vectorised
-        protocol runs on the :class:`repro.engine.ensemble_engine.
-        EnsembleSimulator` unchanged.  Protocols override this with a fully
-        2-D transition to remove the per-trial Python loop (see
+        The default runs :meth:`interact_batch` once over :func:`flat_lanes`
+        (flat views and ``trial * n + slot`` lanes), so row ``t`` behaves
+        exactly as one batched run of trial ``t`` and draws its random
+        numbers in row order.  Only protocols whose stacked transition
+        differs from the batched one override this (see
         :class:`repro.core.vectorized.VectorizedDynamicCounting`).
         """
-        for row in range(initiators.shape[0]):
-            row_arrays = {key: arr[row] for key, arr in arrays.items()}
-            self.interact_batch(row_arrays, initiators[row], responders[row], rng)
+        flat, flat_u, flat_v = flat_lanes(arrays, initiators, responders)
+        self.interact_batch(flat, flat_u, flat_v, rng)
 
     @abc.abstractmethod
     def output_array(self, arrays: dict[str, np.ndarray]) -> np.ndarray:

@@ -11,9 +11,10 @@ of 2-D arrays") and advances *all* trials per parallel step with a single
 batched transition: one :meth:`repro.engine.rng.RandomSource.
 ordered_pair_matrix` call draws the ``(trials, batch)`` interaction pairs of
 every trial, and the protocol applies its transition to the whole stack via
-:meth:`repro.engine.batch_engine.VectorizedProtocol.interact_ensemble`
-(protocols without a 2-D fast path fall back to a per-row
-``interact_batch`` loop and still work unchanged).
+:meth:`repro.engine.batch_engine.VectorizedProtocol.interact_ensemble`.
+By default that is the protocol's own ``interact_batch``, called once over
+flat views of the stack with lanes at ``trial * n + slot``, so every
+vectorised protocol runs unchanged and writes its transition only once.
 
 Within each row the semantics are exactly those of the batched engine —
 sub-batch responder snapshots, last-writer-wins initiator updates — so an
@@ -72,9 +73,9 @@ class EnsembleSimulator(ArrayStateEngine):
     Parameters
     ----------
     protocol:
-        A :class:`repro.engine.batch_engine.VectorizedProtocol`.  Protocols
-        that implement ``interact_ensemble`` advance the whole stack with
-        2-D array operations; the rest run through the per-row fallback.
+        A :class:`repro.engine.batch_engine.VectorizedProtocol`.  Its
+        ``interact_ensemble`` advances the whole stack per sub-batch; the
+        default runs ``interact_batch`` once over flat views of the stack.
     n:
         Population size of every trial.
     trials:
@@ -146,7 +147,7 @@ class EnsembleSimulator(ArrayStateEngine):
             if arr.ndim == 1:
                 stacked[key] = np.tile(arr, (self.trials, 1))
             elif arr.ndim == 2 and arr.shape[0] == self.trials:
-                # Force C order: the protocol fast paths index flat views.
+                # Force C order: interact_ensemble indexes flat views.
                 stacked[key] = np.array(arr, copy=True, order="C")
             else:
                 raise ConfigurationError(

@@ -644,9 +644,12 @@ def make_engine(
         ``recorders`` are rejected for engines whose capability flags do
         not list them.
     initial_arrays / sub_batches:
-        Array-engine extras; rejected for the sequential engine.  The
-        counts engine converts ``initial_arrays`` into its count state
-        (integer-valued planes only).
+        ``initial_arrays`` is rejected for engines without
+        ``supports_initial_arrays`` (the sequential engine takes a
+        pre-built :class:`Population` instead); the counts engine converts
+        it into its count state (integer-valued planes only).
+        ``sub_batches`` is used by the batched, ensemble and counts
+        engines; the sequential and array engines ignore it.
     trials:
         Number of stacked trials for the ensemble engine (defaults to 1);
         rejected for every engine without ``supports_trials`` — they run
@@ -687,8 +690,11 @@ def make_engine(
             "backend (jit=True); use the batched or ensemble engine"
         )
     if initial_arrays is not None and not info.supports_initial_arrays:
+        supported = [
+            name for name, other in _ENGINE_TABLE.items() if other.supports_initial_arrays
+        ]
         raise ConfigurationError(
-            "initial_arrays is only supported by the array/batched engines; "
+            f"initial_arrays is only supported by the {'/'.join(supported)} engines; "
             "pass a pre-built Population to the sequential engine instead"
         )
     if info.requires_int_population and not isinstance(population, int):

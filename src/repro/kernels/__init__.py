@@ -179,9 +179,12 @@ def compile_warmup() -> float:
     Runs two tiny steps of each registered protocol on the batched and the
     ensemble engine with ``jit=True``, hitting the dtype specialisations
     the real workloads use, so first-call compilation happens here instead
-    of inside a measurement.  A no-op (returning ~0) when the compiled
-    backend is unavailable.  ``repro.bench`` passes this as ``warmup_fn``
-    for jit cases and reports the cost as ``compile_seconds``.
+    of inside a measurement.  The ensemble runs compile the int32-index
+    specialisation of the toolbox ``*_batch`` kernels (the ensemble engine
+    calls ``interact_batch`` on flat views with int32 lanes) and the
+    ``counting_ensemble_*`` kernels.  A no-op (returning ~0) when the
+    compiled backend is unavailable.  ``repro.bench`` passes this as
+    ``warmup_fn`` for jit cases and reports the cost as ``compile_seconds``.
     """
     started = time.perf_counter()
     if not availability().enabled:

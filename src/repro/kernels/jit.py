@@ -4,7 +4,12 @@ Each kernel below is an explicit-loop reformulation of one vectorised
 protocol's ``interact_batch`` / ``interact_ensemble``: the gather → branch →
 scatter sequence that NumPy spreads over dozens of full-width temporaries
 (and compressed lane indices for the rare branches) becomes a single pass
-over preallocated scratch buffers.  The functions are written in the
+over preallocated scratch buffers.  The toolbox protocols have ``*_batch``
+kernels only: the ensemble engine runs ``interact_batch`` over flat views
+of its ``(trials, n)`` planes (the :class:`~repro.engine.batch_engine.
+VectorizedProtocol` default), so one kernel serves both layouts.  Only
+dynamic counting keeps separate ``counting_ensemble_*`` kernels, for its
+narrow planes and inverse-CDF GRV draw.  The functions are written in the
 numba-compilable subset of Python and are *bit-parity* replacements — under
 a shared seed they must produce exactly the arrays the NumPy kernels
 produce (``tests/test_jit_kernels.py`` asserts element-for-element
@@ -49,7 +54,6 @@ from repro.protocols.vectorized import (
     VectorizedInfectionEpidemic,
     VectorizedJuntaElection,
     VectorizedMaxEpidemic,
-    _row_indices,
 )
 
 __all__ = [
@@ -90,32 +94,6 @@ def _majority_batch(opinion, initiators, responders, new_u, new_v):
         opinion[responders[i]] = new_v[i]
 
 
-def _majority_ensemble(opinion, initiators, responders, new_u, new_v):
-    trials = initiators.shape[0]
-    m = initiators.shape[1]
-    for t in range(trials):
-        for i in range(m):
-            u = opinion[t, initiators[t, i]]
-            v = opinion[t, responders[t, i]]
-            nu = u
-            if u == 0 and v != 0:
-                nu = v
-            if v == 0 and u != 0:
-                nv = u
-            elif u != 0 and v != 0 and u == -v:
-                nv = 0
-            else:
-                nv = v
-            new_u[t, i] = nu
-            new_v[t, i] = nv
-    for t in range(trials):
-        for i in range(m):
-            opinion[t, initiators[t, i]] = new_u[t, i]
-    for t in range(trials):
-        for i in range(m):
-            opinion[t, responders[t, i]] = new_v[t, i]
-
-
 # ----------------------------------------------------------- epidemic kernels
 
 
@@ -134,27 +112,6 @@ def _max_epidemic_batch(value, initiators, responders, peak, two_way):
             j = responders[i]
             if peak[i] > value[j]:
                 value[j] = peak[i]
-
-
-def _max_epidemic_ensemble(value, initiators, responders, peak, two_way):
-    trials = initiators.shape[0]
-    m = initiators.shape[1]
-    for t in range(trials):
-        for i in range(m):
-            a = value[t, initiators[t, i]]
-            b = value[t, responders[t, i]]
-            peak[t, i] = a if a >= b else b
-    for t in range(trials):
-        for i in range(m):
-            j = initiators[t, i]
-            if peak[t, i] > value[t, j]:
-                value[t, j] = peak[t, i]
-    if two_way:
-        for t in range(trials):
-            for i in range(m):
-                j = responders[t, i]
-                if peak[t, i] > value[t, j]:
-                    value[t, j] = peak[t, i]
 
 
 def _infection_batch(infected, initiators, responders, peak, one_way):
@@ -176,32 +133,6 @@ def _infection_batch(infected, initiators, responders, peak, one_way):
             j = responders[i]
             if peak[i] > infected[j]:
                 infected[j] = peak[i]
-
-
-def _infection_ensemble(infected, initiators, responders, peak, one_way):
-    trials = initiators.shape[0]
-    m = initiators.shape[1]
-    if one_way:
-        for t in range(trials):
-            for i in range(m):
-                peak[t, i] = infected[t, responders[t, i]]
-    else:
-        for t in range(trials):
-            for i in range(m):
-                a = infected[t, initiators[t, i]]
-                b = infected[t, responders[t, i]]
-                peak[t, i] = a if a >= b else b
-    for t in range(trials):
-        for i in range(m):
-            j = initiators[t, i]
-            if peak[t, i] > infected[t, j]:
-                infected[t, j] = peak[t, i]
-    if not one_way:
-        for t in range(trials):
-            for i in range(m):
-                j = responders[t, i]
-                if peak[t, i] > infected[t, j]:
-                    infected[t, j] = peak[t, i]
 
 
 # -------------------------------------------------------------- junta kernels
@@ -246,54 +177,6 @@ def _junta_batch(
         j = responders[i]
         if top[i] > max_seen[j]:
             max_seen[j] = top[i]
-    return c
-
-
-def _junta_ensemble(
-    level, climbing, max_seen, initiators, responders, coins, max_level,
-    new_level, new_climb, top,
-):
-    trials = initiators.shape[0]
-    m = initiators.shape[1]
-    c = 0
-    for t in range(trials):
-        for i in range(m):
-            u = initiators[t, i]
-            v = responders[t, i]
-            u_level = level[t, u]
-            climb = climbing[t, u] != 0
-            coin = False
-            if climb:
-                coin = coins[c]
-                c += 1
-            up = climb and coin and (u_level < max_level)
-            nl = u_level + 1 if up else u_level
-            new_level[t, i] = nl
-            new_climb[t, i] = 1 if up else 0
-            t_val = nl
-            if max_seen[t, u] > t_val:
-                t_val = max_seen[t, u]
-            if level[t, v] > t_val:
-                t_val = level[t, v]
-            if max_seen[t, v] > t_val:
-                t_val = max_seen[t, v]
-            top[t, i] = t_val
-    for t in range(trials):
-        for i in range(m):
-            level[t, initiators[t, i]] = new_level[t, i]
-    for t in range(trials):
-        for i in range(m):
-            climbing[t, initiators[t, i]] = new_climb[t, i]
-    for t in range(trials):
-        for i in range(m):
-            j = initiators[t, i]
-            if top[t, i] > max_seen[t, j]:
-                max_seen[t, j] = top[t, i]
-    for t in range(trials):
-        for i in range(m):
-            j = responders[t, i]
-            if top[t, i] > max_seen[t, j]:
-                max_seen[t, j] = top[t, i]
     return c
 
 
@@ -568,13 +451,9 @@ def _counting_ensemble_finish(
 #: this table with ``numba.njit(cache=True)`` on first use.
 PYTHON_KERNELS: dict[str, Callable[..., Any]] = {
     "majority_batch": _majority_batch,
-    "majority_ensemble": _majority_ensemble,
     "max_epidemic_batch": _max_epidemic_batch,
-    "max_epidemic_ensemble": _max_epidemic_ensemble,
     "infection_batch": _infection_batch,
-    "infection_ensemble": _infection_ensemble,
     "junta_batch": _junta_batch,
-    "junta_ensemble": _junta_ensemble,
     "counting_batch_gather": _counting_batch_gather,
     "counting_batch_reset": _counting_batch_reset,
     "counting_batch_finish": _counting_batch_finish,
@@ -689,17 +568,6 @@ class JitVectorizedApproximateMajority(_PooledMixin, VectorizedApproximateMajori
         new_v = pool.get("new_v", m, opinion.dtype)
         kernels["majority_batch"](opinion, initiators, responders, new_u, new_v)
 
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_ensemble(arrays, initiators, responders, rng)
-        opinion = arrays["opinion"]
-        lanes = initiators.size
-        pool = self._pool
-        new_u = pool.get("new_u", lanes, opinion.dtype).reshape(initiators.shape)
-        new_v = pool.get("new_v", lanes, opinion.dtype).reshape(initiators.shape)
-        kernels["majority_ensemble"](opinion, initiators, responders, new_u, new_v)
-
 
 class JitVectorizedMaxEpidemic(_PooledMixin, VectorizedMaxEpidemic):
     """Fused-kernel max-propagation epidemic."""
@@ -713,18 +581,6 @@ class JitVectorizedMaxEpidemic(_PooledMixin, VectorizedMaxEpidemic):
         value = arrays["value"]
         peak = self._pool.get("peak", initiators.shape[0], value.dtype)
         kernels["max_epidemic_batch"](
-            value, initiators, responders, peak, not self.one_way
-        )
-
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_ensemble(arrays, initiators, responders, rng)
-        value = arrays["value"]
-        peak = self._pool.get("peak", initiators.size, value.dtype).reshape(
-            initiators.shape
-        )
-        kernels["max_epidemic_ensemble"](
             value, initiators, responders, peak, not self.one_way
         )
 
@@ -744,18 +600,6 @@ class JitVectorizedInfectionEpidemic(_PooledMixin, VectorizedInfectionEpidemic):
             infected, initiators, responders, peak, self.one_way
         )
 
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_ensemble(arrays, initiators, responders, rng)
-        infected = arrays["infected"]
-        peak = self._pool.get("peak", initiators.size, infected.dtype).reshape(
-            initiators.shape
-        )
-        kernels["infection_ensemble"](
-            infected, initiators, responders, peak, self.one_way
-        )
-
 
 class JitVectorizedJuntaElection(_PooledMixin, VectorizedJuntaElection):
     """Fused-kernel junta election.
@@ -768,12 +612,6 @@ class JitVectorizedJuntaElection(_PooledMixin, VectorizedJuntaElection):
 
     name = "jit-junta-election"
 
-    def _draw_coins(self, climbing_lanes: np.ndarray, rng) -> np.ndarray:
-        climbers = int(np.count_nonzero(climbing_lanes))
-        if not climbers:
-            return _EMPTY_BOOL
-        return rng.generator.integers(0, 2, size=climbers).astype(bool)
-
     def interact_batch(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()
         if kernels is None:
@@ -781,33 +619,16 @@ class JitVectorizedJuntaElection(_PooledMixin, VectorizedJuntaElection):
         level = arrays["level"]
         climbing = arrays["climbing"]
         max_seen = arrays["max_seen"]
-        coins = self._draw_coins(climbing[initiators], rng)
+        climbers = int(np.count_nonzero(climbing[initiators]))
+        coins = _EMPTY_BOOL
+        if climbers:
+            coins = rng.generator.integers(0, 2, size=climbers).astype(bool)
         m = initiators.shape[0]
         pool = self._pool
         new_level = pool.get("new_level", m, level.dtype)
         new_climb = pool.get("new_climb", m, climbing.dtype)
         top = pool.get("top", m, max_seen.dtype)
         kernels["junta_batch"](
-            level, climbing, max_seen, initiators, responders, coins,
-            self.max_level, new_level, new_climb, top,
-        )
-
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_ensemble(arrays, initiators, responders, rng)
-        level = arrays["level"]
-        climbing = arrays["climbing"]
-        max_seen = arrays["max_seen"]
-        rows = _row_indices(initiators)
-        coins = self._draw_coins(climbing[rows, initiators], rng)
-        lanes = initiators.size
-        pool = self._pool
-        shape = initiators.shape
-        new_level = pool.get("new_level", lanes, level.dtype).reshape(shape)
-        new_climb = pool.get("new_climb", lanes, climbing.dtype).reshape(shape)
-        top = pool.get("top", lanes, max_seen.dtype).reshape(shape)
-        kernels["junta_ensemble"](
             level, climbing, max_seen, initiators, responders, coins,
             self.max_level, new_level, new_climb, top,
         )
@@ -871,7 +692,7 @@ class JitVectorizedDynamicCounting(_PooledMixin, VectorizedDynamicCounting):
             float(params.tau1), float(params.tau2), float(params.tau3),
         )
         if reset_count:
-            np.add.at(arrays["resets"], np.unique(initiators[reset_mask]), 1)
+            arrays["resets"][np.unique(initiators[reset_mask])] += 1
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()
@@ -943,7 +764,7 @@ class JitVectorizedDynamicCounting(_PooledMixin, VectorizedDynamicCounting):
             slots = rows * n + initiators[rows, cols].astype(np.int64, copy=False)
             resets_flat = flat_state_view(arrays["resets"])
             if slots.size * 8 < resets_flat.size:
-                np.add.at(resets_flat, np.unique(slots), 1)
+                resets_flat[np.unique(slots)] += 1
             else:
                 flags = np.zeros(resets_flat.size, dtype=bool)
                 flags[slots] = True

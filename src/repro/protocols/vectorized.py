@@ -14,12 +14,11 @@ sequential engine under a shared seed.  The ``interact_batch``
 implementations follow the batched engine's synchronous-rounds semantics
 (responder states read at the start of the batch, overlapping writes
 resolved last-writer-wins, monotone variables merged with
-``np.maximum.at``).  Every class additionally implements
-``interact_ensemble``, the 2-D fast path of the
-:class:`repro.engine.ensemble_engine.EnsembleSimulator`: the same
-transition applied to ``(trials, n)`` stacked state with ``(trials,
-batch)`` index matrices, removing the per-trial Python loop of the default
-fallback.
+``np.maximum.at``).  None of them defines ``interact_ensemble``: the
+:class:`repro.engine.ensemble_engine.EnsembleSimulator` runs the same
+``interact_batch`` over flat views of the ``(trials, n)`` stacked state
+(the :class:`~repro.engine.batch_engine.VectorizedProtocol` default), so
+each transition is written once for both engines.
 
 The mapping from scalar protocol classes to these implementations lives in
 :mod:`repro.engine.registry`.
@@ -35,11 +34,6 @@ from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.rng import RandomSource
 from repro.protocols.majority import ApproximateMajority
 
-
-def _row_indices(index_matrix: np.ndarray) -> np.ndarray:
-    """Row-coordinate matrix matching a ``(trials, batch)`` index matrix."""
-    rows = np.arange(index_matrix.shape[0])[:, None]
-    return np.broadcast_to(rows, index_matrix.shape)
 
 __all__ = [
     "VectorizedMaxEpidemic",
@@ -79,14 +73,6 @@ class VectorizedMaxEpidemic(VectorizedProtocol):
         np.maximum.at(value, initiators, peak)
         if not self.one_way:
             np.maximum.at(value, responders, peak)
-
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        value = arrays["value"]
-        rows = _row_indices(initiators)
-        peak = np.maximum(value[rows, initiators], value[rows, responders])
-        np.maximum.at(value, (rows, initiators), peak)
-        if not self.one_way:
-            np.maximum.at(value, (rows, responders), peak)
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         value = arrays["value"]
@@ -139,17 +125,6 @@ class VectorizedInfectionEpidemic(VectorizedProtocol):
             both = np.maximum(infected[initiators], v_inf)
             np.maximum.at(infected, initiators, both)
             np.maximum.at(infected, responders, both)
-
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        infected = arrays["infected"]
-        rows = _row_indices(initiators)
-        v_inf = infected[rows, responders]
-        if self.one_way:
-            np.maximum.at(infected, (rows, initiators), v_inf)
-        else:
-            both = np.maximum(infected[rows, initiators], v_inf)
-            np.maximum.at(infected, (rows, initiators), both)
-            np.maximum.at(infected, (rows, responders), both)
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         infected = arrays["infected"]
@@ -218,31 +193,6 @@ class VectorizedJuntaElection(VectorizedProtocol):
         top = np.maximum(np.maximum(new_level, u_seen), np.maximum(v_level, v_seen))
         np.maximum.at(max_seen, initiators, top)
         np.maximum.at(max_seen, responders, top)
-
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        level = arrays["level"]
-        climbing = arrays["climbing"]
-        max_seen = arrays["max_seen"]
-        rows = _row_indices(initiators)
-
-        u_level = level[rows, initiators]
-        u_climb = climbing[rows, initiators].astype(bool)
-        v_level = level[rows, responders]
-        v_seen = max_seen[rows, responders]
-        u_seen = max_seen[rows, initiators]
-
-        coins = np.zeros(initiators.shape, dtype=bool)
-        climbers = int(u_climb.sum())
-        if climbers:
-            coins[u_climb] = rng.generator.integers(0, 2, size=climbers).astype(bool)
-        up = u_climb & coins & (u_level < self.max_level)
-        new_level = np.where(up, u_level + 1, u_level)
-        level[rows, initiators] = new_level
-        climbing[rows, initiators] = up.astype(np.int8)
-
-        top = np.maximum(np.maximum(new_level, u_seen), np.maximum(v_level, v_seen))
-        np.maximum.at(max_seen, (rows, initiators), top)
-        np.maximum.at(max_seen, (rows, responders), top)
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         level = arrays["level"]
@@ -317,19 +267,6 @@ class VectorizedApproximateMajority(VectorizedProtocol):
         new_v = np.where(recruit_v, u_op, np.where(cancel, 0, v_op))
         opinion[initiators] = new_u
         opinion[responders] = new_v
-
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        opinion = arrays["opinion"]
-        rows = _row_indices(initiators)
-        u_op = opinion[rows, initiators]
-        v_op = opinion[rows, responders]
-        recruit_u = (u_op == 0) & (v_op != 0)
-        recruit_v = (v_op == 0) & (u_op != 0)
-        cancel = (u_op != 0) & (v_op != 0) & (u_op == -v_op)
-        new_u = np.where(recruit_u, v_op, u_op)
-        new_v = np.where(recruit_v, u_op, np.where(cancel, 0, v_op))
-        opinion[rows, initiators] = new_u
-        opinion[rows, responders] = new_v
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         opinion = arrays["opinion"]

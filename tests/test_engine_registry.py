@@ -201,6 +201,22 @@ class TestMakeEngine:
                 initial_arrays={"max": np.ones(10)},
             )
 
+    def test_initial_arrays_rejection_lists_the_supporting_engines(self):
+        # The list comes from the supports_initial_arrays flags of the table.
+        expected = (
+            "initial_arrays is only supported by the array/batched/ensemble/counts "
+            "engines; pass a pre-built Population to the sequential engine instead"
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_engine(
+                "sequential",
+                DynamicSizeCounting(),
+                10,
+                seed=1,
+                initial_arrays={"max": np.ones(10)},
+            )
+        assert str(excinfo.value) == expected
+
     def test_sequential_rejects_adversary_plus_schedule(self):
         with pytest.raises(ConfigurationError):
             make_engine(

@@ -3,7 +3,8 @@
 Covers the acceptance surface of the ensemble work: registry round-trips,
 `RunResult`-compatible per-trial series, statistical equivalence with looped
 `BatchedSimulator` trials, per-trial stream independence, resize schedules
-applied across all rows, the `interact_ensemble` fallback contract, the
+applied across all rows, the flat-lane `interact_ensemble` default (bit-identical
+to a per-row `interact_batch` loop), the
 ensemble mode of `run_engine_trials`, and the `--engine ensemble` experiment
 path.
 """
@@ -14,19 +15,23 @@ import numpy as np
 import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.core.phase_clock import UniformPhaseClock
 from repro.core.vectorized import VectorizedDynamicCounting
-from repro.engine.batch_engine import BatchedSimulator, VectorizedProtocol
+from repro.engine.batch_engine import BatchedSimulator
 from repro.engine.ensemble_engine import EnsembleRunResult, EnsembleSimulator
 from repro.engine.errors import ConfigurationError
-from repro.engine.registry import ENGINE_NAMES, make_engine
+from repro.engine.registry import ENGINE_NAMES, make_engine, registered_protocols
 from repro.engine.runner import aggregate_series, run_engine_trials
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.experiments.base import ExperimentPreset
 from repro.experiments.fig3_relative_error import run_fig3
-from repro.protocols.epidemic import MaxEpidemic
+from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
+from repro.protocols.junta import JuntaElection
 from repro.protocols.majority import ApproximateMajority
 from repro.protocols.vectorized import (
     VectorizedApproximateMajority,
+    VectorizedInfectionEpidemic,
+    VectorizedJuntaElection,
     VectorizedMaxEpidemic,
 )
 
@@ -172,38 +177,96 @@ class TestResizeSchedule:
         assert len(kept) > 1
 
 
-class TestEnsembleFallback:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: VectorizedMaxEpidemic(initial_value=2, one_way=False),
-            lambda: VectorizedApproximateMajority("A"),
-        ],
-    )
-    def test_fast_path_matches_generic_fallback(self, factory):
-        """Protocols without RNG in interact_batch agree lane-for-lane.
+def _per_row_reference(protocol, arrays, initiators, responders, rng):
+    """The per-row ``interact_batch`` loop that ``interact_ensemble`` used to run."""
+    for row in range(initiators.shape[0]):
+        row_arrays = {key: arr[row] for key, arr in arrays.items()}
+        protocol.interact_batch(row_arrays, initiators[row], responders[row], rng)
 
-        The default ``interact_ensemble`` loops ``interact_batch`` per row;
-        the fast paths must produce bit-identical state under the same pair
-        draws.
+
+def _seeded_max(one_way):
+    protocol = VectorizedMaxEpidemic(initial_value=0, one_way=one_way)
+    return protocol, protocol.seeded_arrays(40, peak=5.0, count=3)
+
+
+def _seeded_infection(one_way):
+    protocol = VectorizedInfectionEpidemic(one_way=one_way)
+    return protocol, protocol.seeded_arrays(40, infected=3)
+
+
+def _mixed_majority():
+    protocol = VectorizedApproximateMajority("U")
+    return protocol, protocol.arrays_from_counts(18, 14, 8)
+
+
+TOOLBOX_CASES = {
+    "max-one-way": lambda: _seeded_max(True),
+    "max-two-way": lambda: _seeded_max(False),
+    "infection-one-way": lambda: _seeded_infection(True),
+    "infection-two-way": lambda: _seeded_infection(False),
+    "junta": lambda: (VectorizedJuntaElection(), None),
+    "junta-capped": lambda: (VectorizedJuntaElection(max_level=3), None),
+    "majority": _mixed_majority,
+}
+
+
+class TestDefaultEnsembleTransition:
+    @pytest.mark.parametrize("ragged_blocks", [False, True], ids=["one-block", "ragged"])
+    @pytest.mark.parametrize("case", sorted(TOOLBOX_CASES))
+    def test_flat_default_matches_per_row_loop(self, case, ragged_blocks, monkeypatch):
+        """The flat-lane default is bit-identical to looping rows.
+
+        Planes, per-trial series and the generator state (junta's coin
+        stream) must all agree; the ragged variant advances blocks of two
+        trials out of five and resizes mid-run.
         """
-        protocol = factory()
+        protocol, initial = TOOLBOX_CASES[case]()
 
-        class Fallback(type(protocol)):
-            interact_ensemble = VectorizedProtocol.interact_ensemble
+        class PerRow(type(protocol)):
+            def interact_ensemble(self, arrays, initiators, responders, rng):
+                _per_row_reference(self, arrays, initiators, responders, rng)
 
-        fallback = Fallback.__new__(Fallback)
-        fallback.__dict__.update(protocol.__dict__)
+        reference = PerRow.__new__(PerRow)
+        reference.__dict__.update(protocol.__dict__)
 
-        fast_engine = EnsembleSimulator(protocol, 40, trials=4, seed=21)
-        slow_engine = EnsembleSimulator(fallback, 40, trials=4, seed=21)
-        fast_engine.run(5)
-        slow_engine.run(5)
-        for key in fast_engine.arrays:
-            assert np.array_equal(fast_engine.arrays[key], slow_engine.arrays[key])
+        trials, schedule = (5, [(3, 60), (6, 25)]) if ragged_blocks else (4, [])
+        engines = [
+            EnsembleSimulator(
+                p, 40, trials=trials, seed=21, initial_arrays=initial,
+                resize_schedule=schedule,
+            )
+            for p in (protocol, reference)
+        ]
+        if ragged_blocks:
+            bytes_per_agent = sum(arr.itemsize for arr in engines[0].arrays.values())
+            monkeypatch.setattr(
+                EnsembleSimulator, "_BLOCK_STATE_BYTES", 2 * 40 * bytes_per_agent
+            )
+            assert engines[0]._trial_block(40) == 2
+        fast, slow = (engine.run(8) for engine in engines)
+
+        assert [r.snapshots for r in fast.trial_results] == [
+            r.snapshots for r in slow.trial_results
+        ]
+        assert engines[0].size == (25 if ragged_blocks else 40)
+        for key in engines[0].arrays:
+            assert np.array_equal(engines[0].arrays[key], engines[1].arrays[key])
+        assert (
+            engines[0].rng.generator.bit_generator.state
+            == engines[1].rng.generator.bit_generator.state
+        )
 
     def test_every_registered_protocol_runs_on_ensemble(self):
-        for protocol in (MaxEpidemic(initial_value=1), ApproximateMajority("A")):
+        protocols = {
+            "ApproximateMajority": ApproximateMajority("A"),
+            "DynamicSizeCounting": DynamicSizeCounting(),
+            "InfectionEpidemic": InfectionEpidemic(),
+            "JuntaElection": JuntaElection(),
+            "MaxEpidemic": MaxEpidemic(initial_value=1),
+            "UniformPhaseClock": UniformPhaseClock(),
+        }
+        assert sorted(protocols) == registered_protocols()
+        for protocol in protocols.values():
             result = make_engine("ensemble", protocol, 30, trials=3, seed=9).run(4)
             assert result.parallel_time == 4
             assert len(result.trial_results) == 3

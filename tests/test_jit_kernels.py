@@ -22,8 +22,11 @@ import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.phase_clock import UniformPhaseClock
+from repro.core.vectorized import VectorizedDynamicCounting
+from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError
 from repro.engine.registry import engine_info, make_engine
+from repro.engine.rng import RandomSource
 from repro.kernels import (
     availability,
     compile_warmup,
@@ -43,6 +46,11 @@ from repro.kernels.jit import (
 from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
 from repro.protocols.junta import JuntaElection
 from repro.protocols.majority import ApproximateMajority
+from repro.protocols.vectorized import (
+    VectorizedApproximateMajority,
+    VectorizedInfectionEpidemic,
+    VectorizedMaxEpidemic,
+)
 
 PROTOCOLS = (
     DynamicSizeCounting,
@@ -85,6 +93,22 @@ def _run_pair(protocol_cls, engine, mode, monkeypatch, *, n=300, steps=40, **kw)
     return ref, jit_engine
 
 
+def _active_initial_arrays(protocol_cls, n):
+    """Initial planes on which the toolbox transitions change state.
+
+    The default states of the epidemics and majority are fixed points, so
+    parity on them would hold vacuously; junta and counting start active.
+    """
+    if protocol_cls is MaxEpidemic:
+        return VectorizedMaxEpidemic().seeded_arrays(n, peak=7.0, count=3)
+    if protocol_cls is InfectionEpidemic:
+        return VectorizedInfectionEpidemic().seeded_arrays(n, infected=3)
+    if protocol_cls is ApproximateMajority:
+        third = n // 3
+        return VectorizedApproximateMajority().arrays_from_counts(third, third, n - 2 * third)
+    return None
+
+
 def _assert_state_equal(ref, jit_engine, context):
     assert set(ref.arrays) == set(jit_engine.arrays), context
     for key in ref.arrays:
@@ -104,20 +128,59 @@ class TestBitParity:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("engine", ["batched", "ensemble"])
-    def test_parity_through_resize_mid_run(self, engine, mode, monkeypatch):
+    @pytest.mark.parametrize("protocol_cls", PROTOCOLS, ids=lambda c: c.__name__)
+    def test_parity_through_resize_mid_run(self, protocol_cls, engine, mode, monkeypatch):
         # The adversary halves and then grows the population mid-run; the
         # jit kernels only see per-batch arrays, so parity must survive
         # lane-count changes and state re-initialisation.
         schedule = ((10, 150), (25, 400))
         ref, jit_engine = _run_pair(
-            DynamicSizeCounting,
+            protocol_cls,
             engine,
             mode,
             monkeypatch,
             steps=45,
             resize_schedule=schedule,
+            initial_arrays=_active_initial_arrays(protocol_cls, 300),
         )
-        _assert_state_equal(ref, jit_engine, ("resize", engine, mode))
+        _assert_state_equal(ref, jit_engine, ("resize", protocol_cls.__name__, engine, mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("protocol_cls", PROTOCOLS, ids=lambda c: c.__name__)
+    def test_parity_across_ragged_trial_blocks(self, protocol_cls, mode, monkeypatch):
+        # Five trials advanced in blocks of two: every sub-batch reaches the
+        # kernels as several flat-lane calls, the last one a single trial.
+        probe = make_engine("ensemble", protocol_cls(), 300, seed=0, trials=1)
+        bytes_per_agent = sum(arr.itemsize for arr in probe.arrays.values())
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 2 * 300 * bytes_per_agent)
+        ref, jit_engine = _run_pair(
+            protocol_cls,
+            "ensemble",
+            mode,
+            monkeypatch,
+            trials=5,
+            initial_arrays=_active_initial_arrays(protocol_cls, 300),
+        )
+        assert ref._trial_block(300) == 2
+        _assert_state_equal(ref, jit_engine, ("ragged-blocks", protocol_cls.__name__, mode))
+
+    def test_repeated_reset_initiator_counts_once(self):
+        # Every lane resets (time 0) and agent 0 initiates three of them:
+        # like the NumPy kernel, the wrapper counts that reset once.
+        numpy_kernel = VectorizedDynamicCounting()
+        ref = numpy_kernel.initial_arrays(4, RandomSource.from_seed(1))
+        ref["time"][:] = 0.0
+        fused = {key: arr.copy() for key, arr in ref.items()}
+        initiators = np.array([0, 2, 0, 0])
+        responders = np.array([1, 3, 2, 3])
+        numpy_kernel.interact_batch(ref, initiators, responders, RandomSource.from_seed(5))
+        with use_kernel_table(python_kernels()):
+            JitVectorizedDynamicCounting().interact_batch(
+                fused, initiators, responders, RandomSource.from_seed(5)
+            )
+        assert ref["resets"].tolist() == [1, 0, 1, 0]
+        for key in ref:
+            assert np.array_equal(ref[key], fused[key]), key
 
     def test_ensemble_counting_exercises_float32_planes(self):
         # The ensemble counting parity above is only meaningful if the
@@ -198,8 +261,6 @@ class TestDispatch:
 
     def test_jit_wrap_returns_original_when_unavailable(self, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV, "1")
-        from repro.protocols.vectorized import VectorizedMaxEpidemic
-
         protocol = VectorizedMaxEpidemic(1, True)
         assert jit_wrap(protocol) is protocol
 
