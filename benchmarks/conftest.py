@@ -1,18 +1,14 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixture for the speedup-margin benchmarks.
 
-Every benchmark regenerates one figure or table of the paper at the
-``quick`` preset (laptop-scale) and records the resulting rows in the
-benchmark's ``extra_info`` so that the numbers appear in the pytest-benchmark
-JSON output alongside the timing.  Set the environment variable
-``REPRO_BENCH_EFFORT=default`` (or ``paper``) to run the larger presets.
-
-The engine/parallel speedup modules are thin wrappers over the
-:mod:`repro.bench` subsystem instead: they time through
-:func:`repro.bench.timing.measure`, collect :class:`repro.bench.suite.CaseResult`
-rows via the :func:`suite_cases` fixture, and — when ``REPRO_BENCH_DIR`` is
-set — write one normalized, schema-versioned suite JSON per module
-(``BENCH_engines.json`` / ``BENCH_parallel.json``), the same format the
-``python -m repro.bench`` CLI produces.
+The modules here (engines, parallel, counts, checkpoint, jit) measure
+speedups that the registry-derived ``repro.bench run`` grid does not: each
+times its workloads at the ``quick`` preset through
+:func:`repro.bench.timing.measure`, collects :class:`repro.bench.suite.CaseResult`
+rows via the :func:`suite_cases` fixture, and asserts its margins only
+under ``REPRO_BENCH_ASSERT=1``.  When ``REPRO_BENCH_DIR`` is set, each
+module writes one normalized, schema-versioned suite JSON (its
+``BENCH_SUITE_FILENAME``), the same format the ``python -m repro.bench``
+CLI produces.
 """
 
 from __future__ import annotations
@@ -26,17 +22,8 @@ from repro.bench.suite import BenchSuite, CaseResult
 from repro.bench.timing import calibration_seconds
 
 
-@pytest.fixture(scope="session")
-def effort() -> str:
-    """Benchmark effort level, controlled by REPRO_BENCH_EFFORT."""
-    level = os.environ.get("REPRO_BENCH_EFFORT", "quick")
-    if level not in ("quick", "default", "paper"):
-        raise ValueError(f"invalid REPRO_BENCH_EFFORT {level!r}")
-    return level
-
-
 @pytest.fixture(scope="module")
-def suite_cases(request, effort) -> list[CaseResult]:
+def suite_cases(request) -> list[CaseResult]:
     """Per-module collector of normalized benchmark cases.
 
     Tests append :class:`CaseResult` rows; at module teardown the collected
@@ -54,18 +41,8 @@ def suite_cases(request, effort) -> list[CaseResult]:
         return
     suite = BenchSuite(
         cases=tuple(cases),
-        effort=effort,
         warmup=0,
         repeats=1,
         calibration_seconds=calibration_seconds(),
     )
     suite.save(Path(out_dir) / filename)
-
-
-def run_experiment_benchmark(benchmark, runner, effort: str):
-    """Run an experiment once under pytest-benchmark and attach its rows."""
-    result = benchmark.pedantic(lambda: runner(effort=effort), rounds=1, iterations=1)
-    benchmark.extra_info["experiment"] = result.experiment
-    benchmark.extra_info["preset"] = result.metadata.get("preset")
-    benchmark.extra_info["rows"] = result.rows
-    return result

@@ -30,24 +30,20 @@ from repro.experiments.figures import run_estimate_trace
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
 BENCH_SUITE_FILENAME = "BENCH_checkpoint.json"
 
-#: Loop-bound workload per effort level: (n, trials, parallel_time,
-#: snapshot_every, checkpoint_every).  The cadence spans a couple of
+#: Loop-bound workload: (n, trials, parallel_time, snapshot_every,
+#: checkpoint_every).  The cadence spans a couple of
 #: trials, so the run writes real checkpoints (several per shard) with
 #: hundreds of milliseconds of compute between writes — the regime
 #: checkpointing is for.  A long-horizon run checkpoints every minutes of
 #: compute; a cadence of several writes per 10ms trial would measure the
 #: filesystem, not the subsystem.
-WORKLOADS = {
-    "quick": (500, 8, 40, 2, 80),
-    "default": (500, 32, 60, 2, 120),
-    "paper": (1_000, 32, 100, 2, 200),
-}
+WORKLOAD = (500, 8, 40, 2, 80)
 
 MAX_OVERHEAD = 0.05
 
 
-def test_bench_checkpoint_overhead(suite_cases, effort):
-    n, trials, parallel_time, snapshot_every, checkpoint_every = WORKLOADS[effort]
+def test_bench_checkpoint_overhead(suite_cases):
+    n, trials, parallel_time, snapshot_every, checkpoint_every = WORKLOAD
 
     def run(**knobs):
         return run_estimate_trace(
@@ -115,11 +111,10 @@ def test_bench_checkpoint_overhead(suite_cases, effort):
     ):
         suite_cases.append(
             CaseResult(
-                case_id=f"checkpoint:{case}@{effort}",
+                case_id=f"checkpoint:{case}@quick",
                 scenario="checkpoint-overhead",
                 engine="sequential",
                 workers=1,
-                effort=effort,
                 seconds=(timing.minimum,),
                 work_interactions=work,
                 extra=entry,

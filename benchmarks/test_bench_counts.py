@@ -30,28 +30,20 @@ from repro.engine.registry import make_engine
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
 BENCH_SUITE_FILENAME = "BENCH_counts.json"
 
-#: (population size, batched steps, counts steps) per effort level.  The
-#: batched engine's per-step cost is flat in the horizon, so it gets a short
-#: probe; the counts engine runs long enough to amortize its warm-up.
-SPEEDUP = {
-    "quick": (1_000_000, 8, 100),
-    "default": (1_000_000, 12, 200),
-    "paper": (10_000_000, 4, 200),
-}
+#: (population size, batched steps, counts steps).  The batched engine's
+#: per-step cost is flat in the horizon, so it gets a short probe; the counts
+#: engine runs long enough to amortize its warm-up.
+SPEEDUP = (1_000_000, 8, 100)
 
 #: (small n, huge n) for the per-step flatness probe, plus how many steps to
 #: skip as warm-up and how many to time at steady state.
-FLATNESS = {
-    "quick": (10_000, 10_000_000),
-    "default": (10_000, 10_000_000),
-    "paper": (10_000, 100_000_000),
-}
+FLATNESS = (10_000, 10_000_000)
 FLATNESS_WARMUP_STEPS = 30
 FLATNESS_TIMED_STEPS = 20
 
 
-def test_bench_counts_speedup_vs_batched(suite_cases, effort):
-    """Counts vs batched on dynamic counting at n = 10^6 (10^7 at paper).
+def test_bench_counts_speedup_vs_batched(suite_cases):
+    """Counts vs batched on dynamic counting at n = 10^6.
 
     Measured margins: a 10x floor, set when CI measured ~14x (batched
     ~0.4 s per parallel step at ``n = 10^6``, counts ~0.03 s amortized,
@@ -59,7 +51,7 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
     (Python 3.11, NumPy 2.4), batched takes 0.18-0.22 s per step and the
     ratio is 7.4-8.2x, below the floor.
     """
-    n, batched_steps, counts_steps = SPEEDUP[effort]
+    n, batched_steps, counts_steps = SPEEDUP
 
     def run_batched() -> None:
         make_engine("batched", DynamicSizeCounting(), n, seed=1).run(batched_steps)
@@ -83,10 +75,9 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
     }
     suite_cases.append(
         CaseResult(
-            case_id=f"counts-speedup[engine=batched,n={n}]@{effort}",
+            case_id=f"counts-speedup[engine=batched,n={n}]@quick",
             scenario="counts-speedup",
             engine="batched",
-            effort=effort,
             seconds=(batched_timing.minimum,),
             work_interactions=n * batched_steps,
             extra=shared_extra,
@@ -94,10 +85,9 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
     )
     suite_cases.append(
         CaseResult(
-            case_id=f"counts-speedup[engine=counts,n={n}]@{effort}",
+            case_id=f"counts-speedup[engine=counts,n={n}]@quick",
             scenario="counts-speedup",
             engine="counts",
-            effort=effort,
             seconds=(counts_timing.minimum,),
             work_interactions=n * counts_steps,
             extra=shared_extra,
@@ -109,7 +99,7 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
         assert speedup >= 10.0, shared_extra
 
 
-def test_bench_counts_per_step_flat_in_population_size(suite_cases, effort):
+def test_bench_counts_per_step_flat_in_population_size(suite_cases):
     """Steady-state per-step seconds at n = 10^4 vs n = 10^7.
 
     The occupied state count settles around 400 at 10^4 and 1000 at 10^7,
@@ -117,7 +107,7 @@ def test_bench_counts_per_step_flat_in_population_size(suite_cases, effort):
     1000x; asserted with a generous 10x allowance.
     """
     per_step: dict[int, float] = {}
-    for n in FLATNESS[effort]:
+    for n in FLATNESS:
         engine = make_engine("counts", DynamicSizeCounting(), n, seed=1)
         for _ in range(FLATNESS_WARMUP_STEPS):
             engine.step_parallel_round()
@@ -129,7 +119,7 @@ def test_bench_counts_per_step_flat_in_population_size(suite_cases, effort):
         timing = measure(steady, warmup=0, repeats=1)
         per_step[n] = timing.minimum / FLATNESS_TIMED_STEPS
 
-    small, huge = FLATNESS[effort]
+    small, huge = FLATNESS
     extra = {
         "seconds_per_step": {str(n): s for n, s in per_step.items()},
         "population_ratio": huge / small,
@@ -139,10 +129,9 @@ def test_bench_counts_per_step_flat_in_population_size(suite_cases, effort):
     }
     suite_cases.append(
         CaseResult(
-            case_id=f"counts-flatness[n={small}..{huge}]@{effort}",
+            case_id=f"counts-flatness[n={small}..{huge}]@quick",
             scenario="counts-flatness",
             engine="counts",
-            effort=effort,
             seconds=(sum(per_step.values()) * FLATNESS_TIMED_STEPS,),
             work_interactions=(small + huge) * FLATNESS_TIMED_STEPS,
             extra=extra,

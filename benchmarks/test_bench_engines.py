@@ -17,7 +17,7 @@ Covered here, beyond the registry-derived scenario grid the CLI runs:
   wall-clock assertions as always (gated by ``REPRO_BENCH_ASSERT`` so
   shared-runner noise can never fail a plain test run).
 
-Population sizes scale with ``REPRO_BENCH_EFFORT`` (see ``conftest.py``).
+Every workload is sized at the ``quick`` preset.
 """
 
 from __future__ import annotations
@@ -46,44 +46,38 @@ PROTOCOLS = {
     "approximate-majority": ApproximateMajority,
 }
 
-#: Population sizes per effort level.  The exact engines are O(n) Python
-#: work per parallel step, so the sweep stays modest below ``paper``.
-SIZES = {
-    "quick": (200, 500),
-    "default": (500, 2_000, 10_000),
-    "paper": (1_000, 10_000, 100_000),
-}
+#: Population sizes of the matrix.  The exact engines are O(n) Python work
+#: per parallel step, so the sweep stays modest.
+SIZES = (200, 500)
 
 PARALLEL_TIME = 10
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
-def test_bench_engine_matrix(suite_cases, effort, engine, protocol_name):
-    sizes = SIZES[effort]
+def test_bench_engine_matrix(suite_cases, engine, protocol_name):
     interactions = 0
 
     def sweep() -> None:
         nonlocal interactions
         interactions = 0
-        for n in sizes:
+        for n in SIZES:
             simulator = make_engine(engine, PROTOCOLS[protocol_name](), n, seed=1)
             result = simulator.run(PARALLEL_TIME)
             assert result.parallel_time == PARALLEL_TIME
             interactions += result.interactions
 
     timing = measure(sweep, warmup=0, repeats=1)
-    assert interactions == sum(sizes) * PARALLEL_TIME
+    assert interactions == sum(SIZES) * PARALLEL_TIME
     suite_cases.append(
         CaseResult(
-            case_id=f"engine-matrix:{protocol_name}[engine={engine}]@{effort}",
+            case_id=f"engine-matrix:{protocol_name}[engine={engine}]@quick",
             scenario=f"engine-matrix:{protocol_name}",
             engine=engine,
-            effort=effort,
             seconds=timing.seconds,
             work_interactions=interactions,
             extra={
-                "population_sizes": list(sizes),
+                "population_sizes": list(SIZES),
                 "parallel_time_per_size": PARALLEL_TIME,
             },
         )
@@ -92,11 +86,11 @@ def test_bench_engine_matrix(suite_cases, effort, engine, protocol_name):
 
 #: Larger single-cell probe of the batched engine (the matrix above keeps
 #: its sizes small so the Python-loop engines stay fast).
-BATCHED_SCALE = {"quick": 50_000, "default": 200_000, "paper": 1_000_000}
+BATCHED_SCALE = 50_000
 
 
-def test_bench_batched_engine_at_scale(suite_cases, effort):
-    n, parallel_time = BATCHED_SCALE[effort], 30
+def test_bench_batched_engine_at_scale(suite_cases):
+    n, parallel_time = BATCHED_SCALE, 30
     interactions = 0
 
     def run() -> None:
@@ -108,10 +102,9 @@ def test_bench_batched_engine_at_scale(suite_cases, effort):
     assert interactions == n * parallel_time
     suite_cases.append(
         CaseResult(
-            case_id=f"batched-at-scale[n={n}]@{effort}",
+            case_id=f"batched-at-scale[n={n}]@quick",
             scenario="batched-at-scale",
             engine="batched",
-            effort=effort,
             seconds=timing.seconds,
             work_interactions=interactions,
             extra={"population_size": n, "parallel_time": parallel_time},
@@ -119,18 +112,14 @@ def test_bench_batched_engine_at_scale(suite_cases, effort):
     )
 
 
-#: Fig. 3-preset-shaped speedup workload per effort level:
-#: (population sweep, trials, parallel_time).  The sweep covers the preset's
-#: population range up to the >= 10^4 acceptance point; trials match the
-#: preset family (>= 16; the paper preset runs 96).
-FIG3_SPEEDUP = {
-    "quick": ((10, 100, 1_000, 10_000), 16, 60),
-    "default": ((10, 100, 1_000, 10_000), 16, 400),
-    "paper": ((10, 100, 1_000, 10_000, 100_000), 96, 1_000),
-}
+#: Fig. 3-preset-shaped speedup workload: (population sweep, trials,
+#: parallel_time).  The sweep covers the preset's population range up to the
+#: >= 10^4 acceptance point; trials match the preset family (>= 16; the paper
+#: preset runs 96).
+FIG3_SPEEDUP = ((10, 100, 1_000, 10_000), 16, 60)
 
 
-def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
+def test_bench_ensemble_speedup_fig3_preset(suite_cases):
     """Stacked ensemble pass vs per-trial looped batched runs on Fig. 3.
 
     Wherever the per-trial Python loop dominates — every small/mid-``n``
@@ -140,7 +129,7 @@ def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
     the win settles around 2x; both regimes are recorded per point in the
     case's ``extra`` so the perf trajectory stays tracked.
     """
-    sizes, trials, parallel_time = FIG3_SPEEDUP[effort]
+    sizes, trials, parallel_time = FIG3_SPEEDUP
 
     per_point = {}
     looped_total = ensemble_total = 0.0
@@ -182,10 +171,9 @@ def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
     }
     suite_cases.append(
         CaseResult(
-            case_id=f"fig3-speedup[engine=batched]@{effort}",
+            case_id="fig3-speedup[engine=batched]@quick",
             scenario="fig3-speedup",
             engine="batched",
-            effort=effort,
             seconds=(looped_total,),
             work_interactions=work,
             extra=shared_extra,
@@ -193,10 +181,9 @@ def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
     )
     suite_cases.append(
         CaseResult(
-            case_id=f"fig3-speedup[engine=ensemble]@{effort}",
+            case_id="fig3-speedup[engine=ensemble]@quick",
             scenario="fig3-speedup",
             engine="ensemble",
-            effort=effort,
             seconds=(ensemble_total,),
             work_interactions=work,
             extra=shared_extra,

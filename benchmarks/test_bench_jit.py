@@ -48,15 +48,10 @@ from repro.kernels import availability, compile_warmup
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
 BENCH_SUITE_FILENAME = "BENCH_jit.json"
 
-#: (population sizes, trials, parallel-time horizon) per effort level — the
-#: fig3 shape, loop-bound at quick: the smallest populations make per-batch
-#: Python overhead the dominant cost, which is exactly what the compiled
-#: kernels remove.
-WORKLOAD = {
-    "quick": ((10, 100, 1000), 16, 60),
-    "default": ((10, 100, 1000, 3162), 32, 120),
-    "paper": ((10, 100, 1000, 3162, 10000), 64, 200),
-}
+#: (population sizes, trials, parallel-time horizon) — the fig3 shape,
+#: loop-bound: the smallest populations make per-batch Python overhead the
+#: dominant cost, which is exactly what the compiled kernels remove.
+WORKLOAD = ((10, 100, 1000), 16, 60)
 
 #: Gated floors (see module docstring for why each is where it is).
 JIT_ENSEMBLE_VS_LOOPED_FLOOR = 10.0
@@ -101,9 +96,9 @@ def _baseline_anchor():
     return anchor
 
 
-def test_bench_jit_speedup(suite_cases, effort):
+def test_bench_jit_speedup(suite_cases):
     """Four-way measurement of the loop-bound fig3 shape, jit floors gated."""
-    ns, trials, horizon = WORKLOAD[effort]
+    ns, trials, horizon = WORKLOAD
     compiled = availability().enabled
     warmup_fn = compile_warmup if compiled else None
 
@@ -147,22 +142,16 @@ def test_bench_jit_speedup(suite_cases, effort):
     }
 
     for case_id, engine, timing, jit_flag in (
-        (f"jit-speedup[engine=batched]@{effort}", "batched", looped, False),
-        (f"jit-speedup[engine=ensemble]@{effort}", "ensemble", plain_ensemble, False),
-        (f"jit-speedup[engine=batched,jit=on]@{effort}", "batched", jit_batched, True),
-        (
-            f"jit-speedup[engine=ensemble,jit=on]@{effort}",
-            "ensemble",
-            jit_ensemble,
-            True,
-        ),
+        ("jit-speedup[engine=batched]@quick", "batched", looped, False),
+        ("jit-speedup[engine=ensemble]@quick", "ensemble", plain_ensemble, False),
+        ("jit-speedup[engine=batched,jit=on]@quick", "batched", jit_batched, True),
+        ("jit-speedup[engine=ensemble,jit=on]@quick", "ensemble", jit_ensemble, True),
     ):
         suite_cases.append(
             CaseResult(
                 case_id=case_id,
                 scenario="jit-speedup",
                 engine=engine,
-                effort=effort,
                 seconds=(timing.minimum,),
                 work_interactions=work,
                 compile_seconds=timing.compile_seconds if jit_flag else None,

@@ -35,27 +35,22 @@ from repro.experiments.figures import run_estimate_trace
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
 BENCH_SUITE_FILENAME = "BENCH_parallel.json"
 
-#: Fig. 3-preset-shaped loop-bound workloads per effort level:
-#: (sequential point, looped-batched point), each (n, trials, parallel_time).
+#: Fig. 3-preset-shaped loop-bound workloads, sequential and looped-batched,
+#: each (n, trials, parallel_time).
 #: Trial counts are multiples of 4x the default shard size so the point
 #: splits into at least four equal shards (4-worker parallelism with no
 #: straggler); the sequential point keeps ``n`` modest because its cost is
 #: O(n * parallel_time * trials) in Python.
-WORKLOADS = {
-    "quick": {"sequential": (200, 32, 40), "batched": (1_000, 32, 60)},
-    "default": {"sequential": (500, 32, 60), "batched": (1_000, 64, 200)},
-    "paper": {"sequential": (1_000, 32, 100), "batched": (10_000, 96, 400)},
-}
+WORKLOADS = {"sequential": (200, 32, 40), "batched": (1_000, 32, 60)}
 
 WORKER_COUNTS = (1, 2, 4)
 
 
-def test_bench_parallel_shard_scaling(suite_cases, effort):
-    workloads = WORKLOADS[effort]
+def test_bench_parallel_shard_scaling(suite_cases):
     cpu_count = os.cpu_count() or 1
 
     per_engine: dict[str, dict] = {}
-    for engine, (n, trials, parallel_time) in workloads.items():
+    for engine, (n, trials, parallel_time) in WORKLOADS.items():
         seconds = {}
         reference_rows = None
         for workers in WORKER_COUNTS:
@@ -97,11 +92,10 @@ def test_bench_parallel_shard_scaling(suite_cases, effort):
         for workers in WORKER_COUNTS:
             suite_cases.append(
                 CaseResult(
-                    case_id=f"shard-scaling:{engine}[workers={workers}]@{effort}",
+                    case_id=f"shard-scaling:{engine}[workers={workers}]@quick",
                     scenario=f"shard-scaling:{engine}",
                     engine=engine,
                     workers=workers,
-                    effort=effort,
                     seconds=(seconds[workers],),
                     work_interactions=work,
                     extra=entry,

@@ -1,7 +1,7 @@
 """Normalized, schema-versioned benchmark suite results.
 
 One benchmark run — whatever produced it (the ``repro.bench run`` CLI, the
-legacy wrapper modules under ``benchmarks/``) — serializes to a single
+speedup-margin modules under ``benchmarks/``) — serializes to a single
 ``BENCH_*.json`` with a fixed schema: per-case wall-time samples plus
 derived median/min and interactions-per-second throughput, machine and git
 provenance, and the calibration measurement that makes cross-machine

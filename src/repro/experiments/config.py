@@ -2,7 +2,7 @@
 
 Three effort levels are provided for every experiment:
 
-* ``quick``   — seconds; used by the pytest-benchmark harness and CI.
+* ``quick``   — seconds; used by the test suite, the benchmarks and CI.
 * ``default`` — minutes on a laptop; good fidelity for every figure.
 * ``paper``   — the paper's actual scale (n up to 10^6, 5000 parallel time,
   96 trials); hours of CPU, provided for completeness.

@@ -1,8 +1,8 @@
 """Tests for the experiment harness (presets, runners, CLI, persistence).
 
 The experiment tests use tiny custom presets so that the whole module runs
-in seconds; the ``quick`` presets themselves are exercised by the benchmark
-suite.
+in seconds; the ``quick`` presets themselves are exercised by
+``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
