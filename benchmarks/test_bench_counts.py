@@ -1,4 +1,4 @@
-"""Counts-engine benchmarks: the O(|Q|^2)-per-step claim, measured.
+"""Counts-engine benchmarks: the n-independent per-step cost, measured.
 
 Two workloads, recorded as normalized :class:`repro.bench.suite.CaseResult`
 rows (written to ``$REPRO_BENCH_DIR/BENCH_counts.json`` when set):
@@ -47,9 +47,11 @@ def test_bench_counts_speedup_vs_batched(suite_cases):
 
     Measured margins: a 10x floor, set when CI measured ~14x (batched
     ~0.4 s per parallel step at ``n = 10^6``, counts ~0.03 s amortized,
-    ~0.007 s at steady state).  At quick effort on a 2-vCPU x86_64 Xeon VM
-    (Python 3.11, NumPy 2.4), batched takes 0.18-0.22 s per step and the
-    ratio is 7.4-8.2x, below the floor.
+    ~0.007 s at steady state).  On a 2-vCPU x86_64 Xeon VM (Python 3.11,
+    NumPy 2.4) batched takes 0.20-0.24 s per step over this short probe and
+    counts 0.019-0.023 s amortized, with the pair table drawn over
+    descending-probability responder classes; the ratio measured
+    10.1-11.7x over ten runs, so the floor holds with little margin.
     """
     n, batched_steps, counts_steps = SPEEDUP
 

@@ -274,8 +274,9 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
         ``(cell_index, grv_value, count)`` over the non-empty sub-cells.
         """
         table = rng.generator.multinomial(multiplicity, self._grv_pmf)
-        cell, bin_index = np.nonzero(table)
-        return cell, self._grv_values[bin_index], table[cell, bin_index]
+        flat = np.flatnonzero(table > 0)
+        cell, bin_index = np.divmod(flat, self._grv_pmf.size)
+        return cell, self._grv_values[bin_index], table.ravel()[flat]
 
     def _finish(
         self,

@@ -1,4 +1,4 @@
-"""Counts-based multiset engine: O(|Q|^2) parallel steps independent of n.
+"""Counts-based multiset engine: parallel steps whose cost is independent of n.
 
 Every other engine holds per-agent state arrays, so one parallel time step
 costs O(n) no matter how simple the protocol is.  Population protocols are
@@ -14,14 +14,20 @@ vector directly (Gillespie / tau-leaping style):
   (mirroring the batched engine's responder snapshot): with replacement via
   one vectorised multinomial for one-way protocols, and without replacement
   (a second hypergeometric draw plus a random contingency-table pairing)
-  for protocols that write the responder too;
+  for protocols that write the responder too.  The one-way multinomial
+  takes the responder classes in descending-probability order: numpy draws
+  each initiator row as a chain of conditional binomials that stops as soon
+  as the row is used up, so a row visits only the few likely classes it
+  needs rather than every class;
 * the protocol's :class:`CountsKernel` then turns the ordered
   (initiator-state, responder-state) interaction counts into transition
   deltas on the count vector, splitting cells by random outcome (GRV draws,
   coin flips) with one more multinomial per sub-batch.
 
-Per-step cost is O(|Q| * |R|) in the number of occupied states |Q| and
-responder classes |R| — *independent of n* — which unlocks populations of
+The one-way pair table's random draws cost O(sum over occupied initiator
+states q of the columns row q visits) — at most, and in practice far below,
+|Q| * |R| for |Q| occupied states and |R| responder classes.  None of the
+per-step cost depends on n, which unlocks populations of
 10^7-10^9 agents (the numpy hypergeometric samplers cap totals at 10^9;
 beyond that :func:`multiset_sample` switches to a conditional binomial
 approximation whose error is O(batch/n), i.e. negligible exactly where it
@@ -686,7 +692,16 @@ class CountsSimulator(Engine):
         exactly the batched engine's responder snapshot.  (Like that
         engine's ``ordered_pairs`` modulo the 1/n self-pairing term, which
         both treatments leave statistically indistinguishable.)  The draw
-        is one vectorised multinomial over the kernel's responder classes.
+        is one vectorised multinomial over the kernel's responder classes,
+        taken in descending-probability order: numpy draws each row as a
+        chain of conditional binomials that stops once the row is used up,
+        so putting the likely classes first makes a row of ``c`` initiators
+        visit few columns.  The binomial draws then cost O(sum over rows of
+        the columns each visits) instead of O(rows * classes); only the
+        zero-fill and scan of the table stay O(rows * classes).  A
+        multinomial is invariant under relabelling its categories, so each
+        row is still exactly ``Multinomial(c, p)``; ``order`` maps the
+        columns back to classes.
         """
         state = self.state
         class_id, class_columns = self.kernel.responder_view(state)
@@ -694,12 +709,15 @@ class CountsSimulator(Engine):
         class_counts = np.bincount(
             class_id, weights=state.counts.astype(np.float64), minlength=num_classes
         )
-        probabilities = class_counts / class_counts.sum()
+        order = np.argsort(-class_counts, kind="stable")
         pair_table = self.rng.generator.multinomial(
-            initiators[occupied], probabilities
+            initiators[occupied], class_counts[order] / class_counts.sum()
         )
-        row, col = np.nonzero(pair_table)
-        return occupied[row], col, pair_table[row, col], (
+        # One flat scan of a boolean mask: numpy's fast path, and the same
+        # cells in the same order as a 2-D ``nonzero`` of the table.
+        flat = np.flatnonzero(pair_table > 0)
+        row, col = np.divmod(flat, num_classes)
+        return occupied[row], order[col], pair_table.ravel()[flat], (
             class_columns
             if class_columns is not None
             else {name: column for name, column in state.columns.items()}

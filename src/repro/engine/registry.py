@@ -76,7 +76,7 @@ __all__ = [
 SMALL_POPULATION_THRESHOLD = 128
 
 #: At and above this population size the per-agent engines pay O(n) per
-#: parallel step while the counts engine stays O(|Q|^2), so
+#: parallel step while the counts engine's cost does not depend on n, so
 #: :func:`choose_engine` switches to ``"counts"`` whenever the protocol has
 #: a counts kernel.  The crossover is far lower in practice (~10^4), but
 #: below this bound the per-agent engines are still comfortably fast and

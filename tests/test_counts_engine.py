@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.engine.counts_engine as counts_engine
+from repro.analysis.stats import chi_square_critical
 from repro.core.counts import DynamicCountingCountsKernel
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.api import quantiles
@@ -276,6 +277,49 @@ class TestCountsSimulatorConstruction:
             CountsSimulator(kernel, 100, seed=1, resize_schedule=((3, 1),))
 
 
+class TestPairWithReplacement:
+    """The one-way pairing draw: exact row sums and ``Multinomial(c, p)`` rows.
+
+    The draw orders responder classes by descending count before the
+    multinomial and maps the columns back; the three classes here have
+    ascending counts in ascending key order, so that mapping really reverses
+    them.
+    """
+
+    CLASS_COUNTS = (10, 1_000, 100_000)
+
+    def test_rows_sum_to_initiators_and_classes_follow_counts(self):
+        kernel = ToyKernel()
+        columns = {"a": np.arange(3, dtype=np.int64), "b": np.zeros(3, np.int64)}
+        state = kernel.state_from_columns(
+            columns, np.array(self.CLASS_COUNTS, dtype=np.int64)
+        )
+        assert state.counts.tolist() == list(self.CLASS_COUNTS)  # ascending keys
+        engine = CountsSimulator(
+            kernel, sum(self.CLASS_COUNTS), seed=3, initial_state=state
+        )
+        generator = engine.rng.generator
+        batch = 10_000
+        draws = 200
+        totals = np.zeros(3, dtype=np.int64)
+        for _ in range(draws):
+            initiators = multiset_sample(generator, engine.state.counts, batch)
+            occupied = np.flatnonzero(initiators)
+            initiator_idx, responder_idx, pair_counts, _ = engine._pair_with_replacement(
+                initiators, occupied
+            )
+            assert (pair_counts > 0).all()
+            row_sums = np.bincount(initiator_idx, weights=pair_counts, minlength=3)
+            assert row_sums.astype(np.int64).tolist() == initiators.tolist()
+            totals += np.bincount(responder_idx, weights=pair_counts, minlength=3).astype(
+                np.int64
+            )
+        p = np.array(self.CLASS_COUNTS) / sum(self.CLASS_COUNTS)
+        expected = draws * batch * p
+        statistic = float(((totals - expected) ** 2 / expected).sum())
+        assert statistic <= chi_square_critical(2, 0.001), (totals, expected)
+
+
 class TestCountsSimulatorRuns:
     def test_population_conserved_and_bookkeeping(self):
         engine = CountsSimulator(DynamicCountingCountsKernel(), 500, seed=9)
@@ -389,6 +433,18 @@ class TestDynamicCountingKernelDetails:
         # Most agents reset early on (some instead adopt a neighbour's max
         # before their timer runs out), each reset drawing one GRV tick.
         assert kernel.tick_total() >= 1024
+
+    def test_expand_grv_matches_two_dimensional_nonzero(self):
+        kernel = DynamicCountingCountsKernel()
+        multiplicity = np.array([1, 7, 300, 0, 25_000], dtype=np.int64)
+        cell, grv, counts = kernel._expand_grv(multiplicity, RandomSource.from_seed(11))
+        table = RandomSource.from_seed(11).generator.multinomial(
+            multiplicity, grv_max_pmf(int(kernel.params.grv_samples))
+        )
+        expected_cell, expected_bin = np.nonzero(table)
+        assert np.array_equal(cell, expected_cell)
+        assert np.array_equal(grv, expected_bin + 1)
+        assert np.array_equal(counts, table[expected_cell, expected_bin])
 
     def test_responder_view_coarsens_the_state_space(self):
         kernel = DynamicCountingCountsKernel()
